@@ -38,6 +38,7 @@ from .gaussian import (
     fbm_model,
     rectangle_covariance,
     rho_variation_audit,
+    sample_path_block,
     sample_rng,
     schauder_coefficient,
     sigma_conditions_audit,
@@ -62,6 +63,7 @@ from .paths import (
     batch_prefix,
     chen_defect,
     dyadic_holder_bound,
+    dyadic_level_maxima,
     geometric_defect,
     holder_distance,
     holder_norm,

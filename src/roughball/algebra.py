@@ -31,18 +31,18 @@ def _as_level1(b, dim=None) -> np.ndarray:
         raise ValueError(f"level1 must be a vector, got shape {b.shape}")
     if dim is not None and b.shape[0] != dim:
         raise ValueError(f"level1 has dimension {b.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("level1 contains non-finite entries")
     return b
 
 
 def _as_level2(c, dim) -> np.ndarray:
     c = np.asarray(c, dtype=float)
-    if np.isscalar(c) or c.shape == ():
+    if c.ndim == 0:
         c = np.full((dim, dim), float(c))
     if c.shape != (dim, dim):
         raise ValueError(f"level2 has shape {c.shape}, expected {(dim, dim)}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("level2 contains non-finite entries")
     return c
 
@@ -116,23 +116,23 @@ def g2_multiply(x: G2Element, y: G2Element) -> G2Element:
     _check_same_dim(x, y)
     return G2Element(
         x.level1 + y.level1,
-        x.level2 + y.level2 + np.outer(x.level1, y.level1),
+        x.level2 + y.level2 + x.level1[:, None] * y.level1[None, :],
     )
 
 
 def g2_inverse(x: G2Element) -> G2Element:
     """Group inverse: (1, b, c)^{-1} = (1, -b, -c + b (x) b)."""
-    return G2Element(-x.level1, -x.level2 + np.outer(x.level1, x.level1))
+    return G2Element(-x.level1, -x.level2 + x.level1[:, None] * x.level1[None, :])
 
 
 def g2_exp(a: L2Element) -> G2Element:
     """Tensor exponential, exact at step 2: adds half the squared level-1 part."""
-    return G2Element(a.level1, a.level2 + 0.5 * np.outer(a.level1, a.level1))
+    return G2Element(a.level1, a.level2 + 0.5 * (a.level1[:, None] * a.level1[None, :]))
 
 
 def g2_log(x: G2Element) -> L2Element:
     """Tensor logarithm, exact at step 2: removes half the squared level-1 part."""
-    return L2Element(x.level1, x.level2 - 0.5 * np.outer(x.level1, x.level1))
+    return L2Element(x.level1, x.level2 - 0.5 * (x.level1[:, None] * x.level1[None, :]))
 
 
 def g2_dilate(x: G2Element, t: float) -> G2Element:

@@ -10,6 +10,13 @@ motion (whose increment covariance is diagonal), circulant embedding of the
 stationary increment sequence on uniform grids (Davies-Harte construction),
 and dense Cholesky of the increment covariance otherwise.  Each sample index
 owns its seed stream, so results do not depend on batching or worker count.
+
+sample_path_block is the block entry point: it draws each index's normals
+from that index's own stream, then applies the plan's transform to a chunk of
+samples at once (one FFT call per chunk in the circulant route).  Every step
+of the transform is elementwise, a per-row FFT or a per-sample product, so a
+block draw is bit-identical to per-sample draw_increments calls whatever the
+block or chunk size.
 """
 
 from __future__ import annotations
@@ -216,6 +223,12 @@ class SamplerPlan:
                     "coarsen the grid or adjust the sigma2 table"
                 ) from exc
         self.method = method
+        # Fixed per-sample draw layout: two normals per circulant frequency
+        # and component, otherwise one per step and component.
+        if method == "circulant":
+            self._normal_shape = (model.dim, 2 * self.n_steps)
+        else:
+            self._normal_shape = (self.n_steps, model.dim)
 
     def _embedding_eigenvalues(self, dt: float) -> np.ndarray:
         n = self.n_steps
@@ -233,27 +246,42 @@ class SamplerPlan:
 
     def draw_increments(self, rng: np.random.Generator) -> np.ndarray:
         """One sample's increments, shape (N, d).  Consumes a fixed draw layout."""
-        n, d = self.n_steps, self.model.dim
+        out = np.empty((1, self.n_steps, self.model.dim))
+        self._transform(rng.standard_normal(self._normal_shape)[None], out)
+        return out[0]
+
+    def _transform(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Map stacked normals z, shape (k,) + draw layout, to increments in out (k, N, d).
+
+        Each sample's result depends on its own normals only and is the same
+        for any k.
+        """
+        n = self.n_steps
         if self.method == "iid":
-            return rng.standard_normal((n, d)) * self._sqrt_dt[:, None]
+            np.multiply(z, self._sqrt_dt[:, None], out=out)
+            return
         if self.method == "cholesky":
-            return self._chol @ rng.standard_normal((n, d))
-        z = rng.standard_normal((d, 2 * n))
-        out = np.empty((n, d))
+            for k in range(z.shape[0]):
+                out[k] = self._chol @ z[k]
+            return
         m = 2 * n
         sq = self._sqrt_lam
         half = np.sqrt(0.5)
-        for c in range(d):
-            v = z[c]
-            w = np.empty(m, dtype=complex)
-            w[0] = sq[0] * v[0]
-            w[n] = sq[n] * v[1]
-            re = v[2:m:2]
-            im = v[3:m:2]
-            w[1:n] = sq[1:n] * half * (re + 1j * im)
-            w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
-            out[:, c] = np.fft.fft(w).real[:n] / np.sqrt(m)
-        return out
+        # Hermitian spectrum per (sample, component) row, so the FFT is real.
+        w = np.empty(z.shape[:-1] + (m,), dtype=complex)
+        w[..., 0] = sq[0] * z[..., 0]
+        w[..., n] = sq[n] * z[..., 1]
+        w[..., 1:n] = sq[1:n] * half * (z[..., 2:m:2] + 1j * z[..., 3:m:2])
+        w[..., n + 1 :] = np.conj(w[..., n - 1 : 0 : -1])
+        w = np.fft.fft(w, axis=-1)
+        np.divide(np.swapaxes(w.real[..., :n], -1, -2), np.sqrt(m), out=out)
+
+
+# Samples per transform call in sample_path_block (one FFT call in the
+# circulant route).  Larger chunks amortise numpy's per-call cost; 32 keeps
+# each complex work buffer near 2 MB at N=1024, d=2, so peak memory stays flat
+# in the block size.
+_DRAW_CHUNK = 32
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -261,24 +289,33 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(index)))
 
 
-def sample_increment_block(plan: SamplerPlan, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Increments for sample indices [start, stop), shape (stop-start, N, d)."""
-    out = np.empty((stop - start, plan.n_steps, plan.model.dim))
-    for k, idx in enumerate(range(start, stop)):
-        out[k] = plan.draw_increments(sample_rng(master_seed, idx))
-    return out
+def sample_path_block(plan: SamplerPlan, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Paths for sample indices [start, stop): values (stop-start, N+1, d) from 0.
+
+    Row k is bit-identical to the cumulative sum of
+    plan.draw_increments(sample_rng(master_seed, start + k)).
+    """
+    nb = stop - start
+    values = np.zeros((nb, plan.n_steps + 1, plan.model.dim))
+    inc = values[:, 1:]
+    for lo in range(0, nb, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, nb)
+        z = np.empty((hi - lo,) + plan._normal_shape)
+        for k in range(lo, hi):
+            sample_rng(master_seed, start + k).standard_normal(out=z[k - lo])
+        plan._transform(z, inc[lo:hi])
+    np.cumsum(inc, axis=1, out=inc)
+    return values
 
 
 def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int,
                    method: str = "auto"):
     """Yield n exact PathSamples on the grid, one per sample index."""
     plan = SamplerPlan(model, times, method=method)
-    d = model.dim
-    for idx in range(n):
-        inc = plan.draw_increments(sample_rng(master_seed, idx))
-        values = np.zeros((plan.n_steps + 1, d))
-        np.cumsum(inc, axis=0, out=values[1:])
-        yield PathSample(plan.times, values, int(master_seed), idx)
+    for start in range(0, n, _DRAW_CHUNK):
+        values = sample_path_block(plan, master_seed, start, min(start + _DRAW_CHUNK, n))
+        for k, row in enumerate(values):
+            yield PathSample(plan.times, row, int(master_seed), start + k)
 
 
 def dump_samples_csv(path, samples) -> None:

@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm as _normal
 
-from .algebra import DEFAULT_NORM_VARIANT, batch_homogeneous_norm
-from .gaussian import CovarianceModel, SamplerPlan, cameron_martin_norm, sample_rng
-from .paths import CMPath, batch_prefix, difference_increments, pair_increments
+from .algebra import DEFAULT_NORM_VARIANT
+from .gaussian import (
+    CovarianceModel,
+    SamplerPlan,
+    cameron_martin_norm,
+    sample_path_block,
+    sample_rng,
+)
+from .paths import CMPath, dyadic_level_maxima
 from .smallball import wilson_interval
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
@@ -118,7 +124,6 @@ def _dyadic_norm_pair_samples(model: CovarianceModel, alpha: float, h: CMPath | 
     """
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
-    levels = n_steps.bit_length() - 1
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
     d = model.dim
@@ -129,34 +134,14 @@ def _dyadic_norm_pair_samples(model: CovarianceModel, alpha: float, h: CMPath | 
         if h.values.shape != (n_steps + 1, d) or not np.allclose(h.times, times):
             raise ValueError("drift path must live on the simulation grid")
         h_values = h.values
-    Bh, Ch = batch_prefix(h_values[None])
 
-    level_idx = []
-    for level in range(levels + 1):
-        stride = n_steps >> level
-        i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
-        level_idx.append((i_idx, i_idx + stride))
-    h_incs = [pair_increments(Bh, Ch, i, j) for i, j in level_idx]
-
-    span = model.horizon * 0.5 ** np.arange(levels + 1)
+    span = model.horizon * 0.5 ** np.arange(n_steps.bit_length())
     origin = np.empty(n)
     centered = np.empty(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        nb = stop - start
-        values = np.zeros((nb, n_steps + 1, d))
-        for k, idx in enumerate(range(start, stop)):
-            np.cumsum(plan.draw_increments(sample_rng(seed, idx)), axis=0,
-                      out=values[k, 1:])
-        B, C = batch_prefix(values)
-        o_max = np.empty((nb, levels + 1))
-        c_max = np.empty((nb, levels + 1))
-        for level, (i_idx, j_idx) in enumerate(level_idx):
-            bx, cx = pair_increments(B, C, i_idx, j_idx)
-            o_max[:, level] = batch_homogeneous_norm(bx, cx, variant).max(axis=1)
-            bh, ch = h_incs[level]
-            bd, cd = difference_increments(bx, cx, bh, ch)
-            c_max[:, level] = batch_homogeneous_norm(bd, cd, variant).max(axis=1)
+        values = sample_path_block(plan, seed, start, stop)
+        o_max, _, c_max = dyadic_level_maxima(values, variant, centre=h_values)
         origin[start:stop] = np.max(o_max / span**alpha, axis=1)
         centered[start:stop] = np.max(c_max / span**alpha, axis=1)
     return origin, centered
@@ -566,42 +551,26 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
-    levels = n_steps.bit_length() - 1
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
-    d = model.dim
-    meshes = [np.zeros((n_steps + 1, d))]
+    meshes = [np.zeros((n_steps + 1, model.dim))]
     for scale in (1.0, 0.5):
         for vals in _cm_mesh_directions(model, times, lam * scale, n_directions):
             meshes.append(vals)
             meshes.append(-vals)
-
-    level_idx = []
-    for level in range(levels + 1):
-        stride = n_steps >> level
-        i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
-        level_idx.append((i_idx, i_idx + stride))
-    span_pow = (model.horizon * 0.5 ** np.arange(levels + 1)) ** alpha
+    span_pow = (model.horizon * 0.5 ** np.arange(n_steps.bit_length())) ** alpha
 
     in_a = np.empty(n, dtype=bool)
     enlarged = np.zeros(n, dtype=bool)
     block = 256
     for start in range(0, n, block):
         stop = min(start + block, n)
-        nb = stop - start
-        values = np.zeros((nb, n_steps + 1, d))
-        for k, idx in enumerate(range(start, stop)):
-            np.cumsum(plan.draw_increments(sample_rng(seed, idx)), axis=0,
-                      out=values[k, 1:])
-        hit = np.zeros(nb, dtype=bool)
+        values = sample_path_block(plan, seed, start, stop)
+        hit = np.zeros(stop - start, dtype=bool)
         for m, h_vals in enumerate(meshes):
             # translating a piecewise-linear lift by a grid drift is the lift
             # of the shifted path, so shift the values and re-lift
-            B, C = batch_prefix(values - h_vals[None])
-            lmax = np.empty((nb, levels + 1))
-            for level, (i_idx, j_idx) in enumerate(level_idx):
-                b, c = pair_increments(B, C, i_idx, j_idx)
-                lmax[:, level] = batch_homogeneous_norm(b, c, variant).max(axis=1)
+            lmax, _, _ = dyadic_level_maxima(values - h_vals[None], variant)
             norms = np.max(lmax / span_pow, axis=1)
             inside = norms < eps
             if m == 0:

@@ -10,6 +10,21 @@ which is Chen-consistent by construction.  Batch variants of the hot operations
 (lifting, increment extraction, homogeneous norms over dyadic pair families)
 work on stacked arrays and carry the Monte-Carlo layers; the object API stays
 convenient for single paths.
+
+The Monte-Carlo layers reduce a block of paths to per-level maxima of dyadic
+increment norms with dyadic_level_maxima.  It stores the lift component-major,
+B as (d, S, N+1) and C as (d, d, S, N+1), so every ufunc runs over long
+contiguous rows.  Sample-major arrays (S, N+1, d) would put the length-d
+component axis innermost and make numpy run millions of inner loops of length
+2 or 4.  The pairs of all L+1 dyadic levels (2N-1 of them) are taken along the
+contiguous grid axis in one gather, so a chunk of paths is one pass of about
+twenty numpy calls and one maximum.reduceat gives every level's maximum.  A
+pass per level over stride views does the same arithmetic in ten times as
+many calls, most of them tiny at the coarse levels; with two worker threads
+those short GIL-releasing calls make the workers wait on each other.  The
+kernel repeats the arithmetic of the sample-major route operation for
+operation, including numpy's summation order over the d and d x d terms, so
+both give bit-identical norms.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ import numpy as np
 
 from .algebra import (
     G2Element,
+    _resolve_variant,
     batch_homogeneous_norm,
 )
 
@@ -195,6 +211,24 @@ class GridRoughPath:
 # ---------------------------------------------------------------------------
 
 
+def _component_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix signatures of piecewise-linear paths, component-major.
+
+    values has shape (S, N+1, d); returns level-1 prefixes (d, S, N+1) and
+    level-2 prefixes (d, d, S, N+1).  Each linear step contributes
+    (delta, 0.5 * delta (x) delta) and steps chain by the group product.
+    """
+    vt = np.ascontiguousarray(values.transpose(2, 0, 1))
+    delta = vt[..., 1:] - vt[..., :-1]
+    d, S, N = delta.shape
+    B = np.zeros((d, S, N + 1))
+    np.cumsum(delta, axis=-1, out=B[..., 1:])
+    term = (B[..., :-1] + 0.5 * delta)[:, None] * delta[None, :]
+    C = np.zeros((d, d, S, N + 1))
+    np.cumsum(term, axis=-1, out=C[..., 1:])
+    return B, C
+
+
 def batch_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix signatures of piecewise-linear paths, batched.
 
@@ -205,14 +239,9 @@ def batch_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError("values must have shape (S, N+1, d)")
-    delta = np.diff(values, axis=1)
-    S, N, d = delta.shape
-    B = np.zeros((S, N + 1, d))
-    np.cumsum(delta, axis=1, out=B[:, 1:])
-    term = (B[:, :-1, :, None] + 0.5 * delta[:, :, :, None]) * delta[:, :, None, :]
-    C = np.zeros((S, N + 1, d, d))
-    np.cumsum(term, axis=1, out=C[:, 1:])
-    return B, C
+    B, C = _component_prefix(values)
+    return (np.ascontiguousarray(np.moveaxis(B, 0, -1)),
+            np.ascontiguousarray(np.moveaxis(C, (0, 1), (-2, -1))))
 
 
 def lift_piecewise_linear(path: CMPath) -> GridRoughPath:
@@ -271,8 +300,11 @@ def pair_increments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group increments for index pairs, from prefix arrays.
 
-    B has shape (..., N+1, d) and C (..., N+1, d, d); index arrays have shape
-    (K,).  Returns level 1 (..., K, d) and level 2 (..., K, d, d).
+    B has shape (..., N+1, d) and C (..., N+1, d, d).  i_idx and j_idx are
+    index arrays of shape (K,), or slices selecting K grid points each (a
+    stride slice such as slice(0, N, s), slice(s, None, s) takes a view
+    instead of a gather).  Returns level 1 (..., K, d) and level 2
+    (..., K, d, d).
     """
     Bi = B[..., i_idx, :]
     b = B[..., j_idx, :] - Bi
@@ -285,6 +317,112 @@ def difference_increments(bx, cx, by, cy) -> tuple[np.ndarray, np.ndarray]:
     b = by - bx
     c = cy - cx - bx[..., :, None] * b[..., None, :]
     return b, c
+
+
+def _component_sum(x):
+    """x[0] + x[1] + ... over the leading axis, in numpy's order for a sum over
+    a contiguous trailing axis of that length: batch_homogeneous_norm's order."""
+    if len(x) < 8:
+        # numpy's pairwise summation is a sequential fold below 8 terms
+        out = x[0]
+        for row in x[1:]:
+            out = out + row
+        return out
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+
+
+def _dyadic_pairs(n_steps: int):
+    """Pairs of every dyadic level of a 2^L-step grid, coarsest level first.
+
+    Level l holds the 2^l pairs (m s, (m+1) s) with s = n_steps >> l and
+    starts at position 2^l - 1 of the returned index arrays.
+    """
+    strides = [n_steps >> level for level in range(n_steps.bit_length())]
+    i_idx = np.concatenate([np.arange(0, n_steps, s, dtype=np.intp) for s in strides])
+    j_idx = i_idx + np.repeat(strides, [n_steps // s for s in strides])
+    starts = np.array([n_steps // s - 1 for s in strides], dtype=np.intp)
+    return i_idx, j_idx, starts
+
+
+def _gathered_increments(B, C, i_idx, j_idx):
+    """Component-major group increments (d, ..., K) and (d, d, ..., K) for index pairs."""
+    Bi = np.take(B, i_idx, axis=-1)
+    b = np.take(B, j_idx, axis=-1) - Bi
+    c = np.take(C, j_idx, axis=-1) - np.take(C, i_idx, axis=-1) - Bi[:, None] * b[None, :]
+    return b, c
+
+
+def _component_norms(b, c, variant):
+    """Homogeneous norms of component-major increments b (d, ...) and
+    c (d, d, ...), with their level-1 parts; batch_homogeneous_norm's arithmetic."""
+    l1 = np.abs(b)
+    l2 = c - 0.5 * b[:, None] * b[None, :]
+    np.abs(l2, out=l2)
+    np.sqrt(l2, out=l2)
+    l2 = l2.reshape((l2.shape[0] * l2.shape[1],) + l2.shape[2:])
+    if variant == "sum":
+        part1 = _component_sum(l1)
+        return part1 + _component_sum(l2), part1
+    part1 = l1.max(axis=0)
+    return np.maximum(part1, l2.max(axis=0)), part1
+
+
+# dyadic_level_maxima walks its block in equal chunks of at most
+# _KERNEL_CHUNK_FLOATS / ((2N-1)(d + d^2)) paths, so a chunk's gathered
+# increments b and c hold 512 KB together: about 11 paths at N=512, d=2, and
+# 64 at N=256, d=1.  Chunks four times larger ran 1.2x (d=2) to 2x (d=1)
+# slower on one thread, as their temporaries fall out of a 2 MB L2 cache and
+# are handed back to the OS and re-faulted on every call; chunks four times
+# smaller paid about 1.3x in per-call overhead.
+_KERNEL_CHUNK_FLOATS = 2**16
+
+
+def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
+                        centre: np.ndarray | None = None):
+    """Per-level maxima of dyadic increment norms for a block of lifted paths.
+
+    values has shape (S, N+1, d) with N = 2^L; level l covers the pairs
+    (m N 2^-l, (m+1) N 2^-l).  Returns (rough, path, centred), each (S, L+1)
+    except centred: the largest homogeneous norm of a level-l increment of
+    each path's lift, the largest norm of its level-1 part, and, when a
+    centre path (N+1, d) is given, the largest norm of the level-l increments
+    of the group difference from the path's lift to the centre's lift
+    (None without a centre).  Bit-identical to batch_prefix, pair_increments,
+    difference_increments and batch_homogeneous_norm applied level by level.
+    """
+    v = _resolve_variant(variant)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise ValueError("values must have shape (S, N+1, d)")
+    n_steps = values.shape[1] - 1
+    if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
+        raise ValueError(f"dyadic levels need 2^L steps, got {n_steps}")
+    S, _, d = values.shape
+    i_idx, j_idx, starts = _dyadic_pairs(n_steps)
+    rough = np.empty((S, len(starts)))
+    path = np.empty_like(rough)
+    centred = None
+    if centre is not None:
+        centre = np.asarray(centre, dtype=float)
+        if centre.shape != values.shape[1:]:
+            raise ValueError(f"centre must have shape {values.shape[1:]}, got {centre.shape}")
+        bh, ch = _gathered_increments(*_component_prefix(centre[None]), i_idx, j_idx)
+        centred = np.empty_like(rough)
+    # at least one path per chunk, however long a single path's grid is
+    n_chunks = min(S, -(-S * len(i_idx) * (d + d * d) // _KERNEL_CHUNK_FLOATS))
+    bounds = [k * S // n_chunks for k in range(n_chunks + 1)] if S else []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        B, C = _component_prefix(values[lo:hi])
+        b, c = _gathered_increments(B, C, i_idx, j_idx)
+        norms, lvl1 = _component_norms(b, c, v)
+        np.maximum.reduceat(norms, starts, axis=-1, out=rough[lo:hi])
+        np.maximum.reduceat(lvl1, starts, axis=-1, out=path[lo:hi])
+        if centre is not None:
+            bd = bh - b
+            cd = ch - c - b[:, None] * bd[None, :]
+            np.maximum.reduceat(_component_norms(bd, cd, v)[0], starts, axis=-1,
+                                out=centred[lo:hi])
+    return rough, path, centred
 
 
 def _pair_chunks(i_idx, j_idx, dim, budget=2_000_000):
@@ -427,8 +565,8 @@ def _uniform_level_norms(x: GridRoughPath, variant) -> list[np.ndarray]:
     out = []
     for level in range(L + 1):
         stride = n_steps >> level
-        starts = np.arange(0, n_steps, stride, dtype=np.intp)
-        b, c = pair_increments(x.prefix_level1, x.prefix_level2, starts, starts + stride)
+        b, c = pair_increments(x.prefix_level1, x.prefix_level2,
+                               slice(0, n_steps, stride), slice(stride, None, stride))
         out.append(batch_homogeneous_norm(b, c, variant))
     return out
 

@@ -338,12 +338,10 @@ def _run_audit(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
     files = {"audit.json": _json_text(payload, cfg_hash)}
     if cfg["n_dump"] > 0:
         times = np.linspace(0.0, model.horizon, cfg["grid"]["N"] + 1)
-        plan = gaussian.SamplerPlan(model, times)
+        block = gaussian.sample_path_block(gaussian.SamplerPlan(model, times), cfg["seed"],
+                                           0, cfg["n_dump"])
         rows = []
-        for idx in range(cfg["n_dump"]):
-            vals = np.zeros((times.size, model.dim))
-            np.cumsum(plan.draw_increments(gaussian.sample_rng(cfg["seed"], idx)),
-                      axis=0, out=vals[1:])
+        for idx, vals in enumerate(block):
             for t_i, t in enumerate(times):
                 for comp in range(model.dim):
                     rows.append((float(t), comp, float(vals[t_i, comp]), idx))

@@ -21,12 +21,13 @@ from scipy.special import erf, gammainc
 from scipy.stats import norm as _normal
 
 from .algebra import DEFAULT_NORM_VARIANT, batch_homogeneous_norm
-from .gaussian import CovarianceModel, SamplerPlan, sample_rng
+from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
 from .paths import (
     GridRoughPath,
     all_pair_indices,
     batch_prefix,
     dyadic_holder_bound,
+    dyadic_level_maxima,
     pair_increments,
 )
 
@@ -309,29 +310,13 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     levels = n_steps.bit_length() - 1
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
-    d = model.dim
     rough = np.empty((n_samples, levels + 1))
     pathm = np.empty((n_samples, levels + 1))
 
     def one_block(start: int) -> None:
         stop = min(start + block, n_samples)
-        nb = stop - start
-        values = np.zeros((nb, n_steps + 1, d))
-        for k, idx in enumerate(range(start, stop)):
-            np.cumsum(plan.draw_increments(sample_rng(master_seed, idx)), axis=0,
-                      out=values[k, 1:])
-        B, C = batch_prefix(values)
-        for level in range(levels + 1):
-            stride = n_steps >> level
-            i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
-            j_idx = i_idx + stride
-            b, c = pair_increments(B, C, i_idx, j_idx)
-            rough[start:stop, level] = batch_homogeneous_norm(b, c, variant).max(axis=1)
-            if variant == "sum":
-                lvl1 = np.abs(b).sum(axis=-1)
-            else:
-                lvl1 = np.abs(b).max(axis=-1)
-            pathm[start:stop, level] = lvl1.max(axis=1)
+        values = sample_path_block(plan, master_seed, start, stop)
+        rough[start:stop], pathm[start:stop], _ = dyadic_level_maxima(values, variant)
 
     starts = range(0, n_samples, block)
     if threads > 1:
@@ -363,16 +348,10 @@ def sample_allpairs_norms(model: CovarianceModel, alpha: float, n_samples: int,
     plan = SamplerPlan(model, times)
     i_idx, j_idx = all_pair_indices(n_steps + 1)
     span = (times[j_idx] - times[i_idx]) ** alpha
-    d = model.dim
     out = np.empty(n_samples)
     for start in range(0, n_samples, block):
         stop = min(start + block, n_samples)
-        nb = stop - start
-        values = np.zeros((nb, n_steps + 1, d))
-        for k, idx in enumerate(range(start, stop)):
-            np.cumsum(plan.draw_increments(sample_rng(master_seed, idx)), axis=0,
-                      out=values[k, 1:])
-        B, C = batch_prefix(values)
+        B, C = batch_prefix(sample_path_block(plan, master_seed, start, stop))
         b, c = pair_increments(B, C, i_idx, j_idx)
         out[start:stop] = (batch_homogeneous_norm(b, c, variant) / span).max(axis=1)
     return out
@@ -391,14 +370,14 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
     if bound_scale is None:
         bound_scale = 4.0 * model.horizon / n_steps
     plan = SamplerPlan(model, times)
-    d = model.dim
     out = np.empty(n_samples)
-    for idx in range(n_samples):
-        values = np.zeros((n_steps + 1, d))
-        np.cumsum(plan.draw_increments(sample_rng(master_seed, idx)), axis=0, out=values[1:])
-        B, C = batch_prefix(values[None])
-        x = GridRoughPath(times, B[0], C[0])
-        out[idx] = dyadic_holder_bound(x, alpha, bound_scale, variant=variant).value
+    block = 256
+    for start in range(0, n_samples, block):
+        stop = min(start + block, n_samples)
+        B, C = batch_prefix(sample_path_block(plan, master_seed, start, stop))
+        for k in range(stop - start):
+            x = GridRoughPath(times, B[k], C[k])
+            out[start + k] = dyadic_holder_bound(x, alpha, bound_scale, variant=variant).value
     return out
 
 

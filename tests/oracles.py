@@ -6,6 +6,12 @@ LP solver, the quantizer oracle runs a one-dimensional fixed point with
 adaptive quadrature instead of sampling, and the Gaussian ball oracle
 integrates densities directly rather than going through incomplete-gamma
 shortcuts.  Slow is fine here; these only run on tiny instances.
+
+Two references pin the vectorised Monte-Carlo routes bit for bit: the
+per-sample, per-component loop of the exact samplers, and the sample-major,
+level-by-level route to dyadic norm maxima (gathered pair increments, then
+batched homogeneous norms).  They keep the arithmetic of the loops they
+replaced, so np.array_equal against them is the right test.
 """
 
 from __future__ import annotations
@@ -188,3 +194,79 @@ def level2_integrals_dense(times: np.ndarray, values: np.ndarray, refine: int = 
         if not np.allclose(riemann, total, atol=1e-9):
             raise RuntimeError("dense Riemann sum disagrees with the segment formula")
     return total
+
+
+def draw_increments_loop(plan, rng) -> np.ndarray:
+    """One sample's increments from the plan's transform, one component at a time.
+
+    Same draw layout as SamplerPlan.draw_increments: (N, d) normals for the
+    iid and Cholesky routes, (d, 2N) for circulant embedding, where each
+    component builds its Hermitian spectrum and runs its own FFT.
+    """
+    n, d = plan.n_steps, plan.model.dim
+    if plan.method == "iid":
+        return rng.standard_normal((n, d)) * plan._sqrt_dt[:, None]
+    if plan.method == "cholesky":
+        return plan._chol @ rng.standard_normal((n, d))
+    z = rng.standard_normal((d, 2 * n))
+    out = np.empty((n, d))
+    m = 2 * n
+    sq = plan._sqrt_lam
+    half = np.sqrt(0.5)
+    for c in range(d):
+        v = z[c]
+        w = np.empty(m, dtype=complex)
+        w[0] = sq[0] * v[0]
+        w[n] = sq[n] * v[1]
+        re = v[2:m:2]
+        im = v[3:m:2]
+        w[1:n] = sq[1:n] * half * (re + 1j * im)
+        w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
+        out[:, c] = np.fft.fft(w).real[:n] / np.sqrt(m)
+    return out
+
+
+def prefix_sample_major(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix signatures (S, N+1, d) and (S, N+1, d, d) of piecewise-linear paths."""
+    delta = np.diff(values, axis=1)
+    S, N, d = delta.shape
+    B = np.zeros((S, N + 1, d))
+    np.cumsum(delta, axis=1, out=B[:, 1:])
+    term = (B[:, :-1, :, None] + 0.5 * delta[:, :, :, None]) * delta[:, :, None, :]
+    C = np.zeros((S, N + 1, d, d))
+    np.cumsum(term, axis=1, out=C[:, 1:])
+    return B, C
+
+
+def dyadic_level_maxima_loop(values, variant, centre=None):
+    """(rough, path, centred) per-level maxima, one dyadic level at a time.
+
+    Gathers each level's pair increments with index arrays and evaluates
+    batch_homogeneous_norm on the sample-major (S, K, d) and (S, K, d, d)
+    stacks, as the Monte-Carlo samplers did before the component-major kernel.
+    """
+    from roughball.algebra import batch_homogeneous_norm
+    from roughball.paths import difference_increments, pair_increments
+
+    S, n_points, _ = values.shape
+    n_steps = n_points - 1
+    levels = n_steps.bit_length()
+    B, C = prefix_sample_major(values)
+    if centre is not None:
+        Bh, Ch = prefix_sample_major(centre[None])
+    rough = np.empty((S, levels))
+    path = np.empty((S, levels))
+    centred = None if centre is None else np.empty((S, levels))
+    for level in range(levels):
+        stride = n_steps >> level
+        i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
+        j_idx = i_idx + stride
+        b, c = pair_increments(B, C, i_idx, j_idx)
+        rough[:, level] = batch_homogeneous_norm(b, c, variant).max(axis=1)
+        lvl1 = np.abs(b).sum(axis=-1) if variant == "sum" else np.abs(b).max(axis=-1)
+        path[:, level] = lvl1.max(axis=1)
+        if centre is not None:
+            bh, ch = pair_increments(Bh, Ch, i_idx, j_idx)
+            bd, cd = difference_increments(b, c, bh, ch)
+            centred[:, level] = batch_homogeneous_norm(bd, cd, variant).max(axis=1)
+    return rough, path, centred

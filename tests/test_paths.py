@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import level2_integrals_dense
+from oracles import dyadic_level_maxima_loop, level2_integrals_dense, prefix_sample_major
 from roughball import (
     CMPath,
     chen_defect,
@@ -18,7 +18,14 @@ from roughball import (
     translate,
     trivial_rough_path,
 )
-from roughball.paths import all_pair_indices, dyadic_pair_indices, increment
+from roughball.paths import (
+    all_pair_indices,
+    batch_prefix,
+    dyadic_level_maxima,
+    dyadic_pair_indices,
+    increment,
+    pair_increments,
+)
 
 
 def _random_lift(rng, n_points=65, dim=2):
@@ -85,6 +92,67 @@ def test_discretisation_bound_dominates_all_pairs(rng):
         bound = dyadic_holder_bound(x, alpha, eps=0.5)
         assert bound.value >= holder_norm(x, alpha, pair_set="all") - 1e-12
         assert bound.coarse_term >= 0 and bound.fine_term >= 0
+
+
+def _random_values(rng, n_paths, n_steps, dim):
+    values = np.zeros((n_paths, n_steps + 1, dim))
+    np.cumsum(rng.standard_normal((n_paths, n_steps, dim)), axis=1, out=values[:, 1:])
+    return values / np.sqrt(n_steps)
+
+
+def test_batch_prefix_matches_sample_major_reference(rng):
+    for dim in (1, 2, 3):
+        values = _random_values(rng, 5, 32, dim)
+        B, C = batch_prefix(values)
+        B_ref, C_ref = prefix_sample_major(values)
+        assert np.array_equal(B, B_ref) and np.array_equal(C, C_ref)
+        assert B.flags.c_contiguous and C.flags.c_contiguous
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 12])
+def test_dyadic_level_kernel_matches_level_loop(rng, variant, dim):
+    for n_steps in (2, 128):
+        values = _random_values(rng, 37, n_steps, dim)
+        centre = _random_values(rng, 1, n_steps, dim)[0] * 0.5
+        got = dyadic_level_maxima(values, variant)
+        ref = dyadic_level_maxima_loop(values, variant)
+        assert got[2] is None and ref[2] is None
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        got = dyadic_level_maxima(values, variant, centre=centre)
+        ref = dyadic_level_maxima_loop(values, variant, centre=centre)
+        for a, b in zip(got, ref):
+            assert a.shape == (37, n_steps.bit_length())
+            assert np.array_equal(a, b)
+
+
+def test_dyadic_level_kernel_one_path_outgrows_a_chunk(rng):
+    # (2N-1)(d + d^2) > _KERNEL_CHUNK_FLOATS: every chunk still holds a path
+    values = _random_values(rng, 3, 512, 12)
+    centre = _random_values(rng, 1, 512, 12)[0]
+    for a, b in zip(dyadic_level_maxima(values, "sum", centre=centre),
+                    dyadic_level_maxima_loop(values, "sum", centre=centre)):
+        assert a.shape == (3, 10) and np.array_equal(a, b)
+    rough, path, centred = dyadic_level_maxima(np.zeros((0, 9, 2)))
+    assert rough.shape == path.shape == (0, 4) and centred is None
+
+
+def test_dyadic_level_kernel_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="2\\^L steps"):
+        dyadic_level_maxima(np.zeros((2, 7, 1)))
+    with pytest.raises(ValueError, match="centre must have shape"):
+        dyadic_level_maxima(np.zeros((2, 9, 2)), centre=np.zeros((9, 1)))
+
+
+def test_pair_increments_stride_slices_equal_index_arrays(rng):
+    values = _random_values(rng, 4, 64, 2)
+    B, C = batch_prefix(values)
+    for stride in (64, 8, 1):
+        i_idx = np.arange(0, 64, stride, dtype=np.intp)
+        by_index = pair_increments(B, C, i_idx, i_idx + stride)
+        by_slice = pair_increments(B, C, slice(0, 64, stride), slice(stride, None, stride))
+        for a, b in zip(by_index, by_slice):
+            assert np.array_equal(a, b)
 
 
 def test_distance_basic_properties(rng):

@@ -26,7 +26,7 @@ from .gaussian import (
     sample_rng,
 )
 from .paths import CMPath, dyadic_level_maxima
-from .smallball import wilson_interval
+from .smallball import sample_dyadic_level_maxima, wilson_interval
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
 
@@ -108,43 +108,25 @@ def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> 
 
 
 # ---------------------------------------------------------------------------
-# Shared rough-path event sampler
+# Shared samplers
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_norm_pair_samples(model: CovarianceModel, alpha: float, h: CMPath | None,
-                              n: int, seed: int, n_steps: int,
-                              variant: str = DEFAULT_NORM_VARIANT,
-                              block: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample Hölder norms from the origin and distances to a lifted drift.
-
-    Returns (origin_norms, centered_distances), both length n, computed from
-    the same simulated paths.  The distance uses group-difference increments
-    of the two lifts over the dyadic pair family, matching the metric.
-    """
-    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"n_steps must be a power of two, got {n_steps}")
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    plan = SamplerPlan(model, times)
-    d = model.dim
-
+def _drift_values(model: CovarianceModel, h: CMPath | None, n_steps: int) -> np.ndarray:
+    """Values (N+1, d) of a drift on the simulation grid; the zero path for None."""
     if h is None:
-        h_values = np.zeros((n_steps + 1, d))
-    else:
-        if h.values.shape != (n_steps + 1, d) or not np.allclose(h.times, times):
-            raise ValueError("drift path must live on the simulation grid")
-        h_values = h.values
+        return np.zeros((n_steps + 1, model.dim))
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    if h.values.shape != (n_steps + 1, model.dim) or not np.allclose(h.times, times):
+        raise ValueError("drift path must live on the simulation grid")
+    return h.values
 
-    span = model.horizon * 0.5 ** np.arange(n_steps.bit_length())
-    origin = np.empty(n)
-    centered = np.empty(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        values = sample_path_block(plan, seed, start, stop)
-        o_max, _, c_max = dyadic_level_maxima(values, variant, centre=h_values)
-        origin[start:stop] = np.max(o_max / span**alpha, axis=1)
-        centered[start:stop] = np.max(c_max / span**alpha, axis=1)
-    return origin, centered
+
+def _normal_blocks(n: int, dim: int, seed: int):
+    """Yield n standard normal rows in (k, dim) blocks of up to 2^16, block b
+    drawn from sample_rng(seed, b)."""
+    for b, start in enumerate(range(0, n, 1 << 16)):
+        yield sample_rng(seed, b).standard_normal((min(1 << 16, n - start), dim))
 
 
 def _paired_probability_report(name, ind_lhs, ind_rhs, rhs_factor, config, notes=(),
@@ -187,8 +169,9 @@ def check_anderson(model: CovarianceModel, alpha: float, center: CMPath, eps: fl
     Both probabilities are estimated from the same simulated lifts; with a
     zero center the two events coincide and the margin is exactly zero.
     """
-    origin, centered = _dyadic_norm_pair_samples(model, alpha, center, n, seed,
-                                                 n_steps, variant)
+    ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant,
+                                     centre=_drift_values(model, center, n_steps))
+    origin, centered = ens.rough_norms(alpha), ens.centred_norms(alpha)
     config = {
         "model": model.describe(), "alpha": alpha, "eps": eps, "n": n,
         "seed": seed, "n_steps": n_steps, "variant": variant,
@@ -210,8 +193,9 @@ def check_cameron_martin(model: CovarianceModel, alpha: float, h: CMPath, eps: f
     side, so each split is a valid consequence.  Verdict comes from the
     tightest split (a=0); the others ride along in extras.
     """
-    origin, centered = _dyadic_norm_pair_samples(model, alpha, h, n, seed,
-                                                 n_steps, variant)
+    ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant,
+                                     centre=_drift_values(model, h, n_steps))
+    origin, centered = ens.rough_norms(alpha), ens.centred_norms(alpha)
     cm = cameron_martin_norm(model, h)
     factor = float(np.exp(-cm.rate))
     config = {
@@ -279,14 +263,11 @@ def _interval_probability(eps: float, sigma: float) -> float:
     return float(2.0 * _normal.cdf(eps / sigma) - 1.0)
 
 
-def _sample_gaussian(cov: np.ndarray, n: int, seed: int, block: int = 1 << 16):
+def _sample_gaussian(cov: np.ndarray, n: int, seed: int):
     """Yield blocks of N(0, cov) samples with per-block seeding."""
     w, v = np.linalg.eigh(cov)
     root = v * np.sqrt(np.maximum(w, 0.0))
-    d = cov.shape[0]
-    for b, start in enumerate(range(0, n, block)):
-        stop = min(start + block, n)
-        z = sample_rng(seed, b).standard_normal((stop - start, d))
+    for z in _normal_blocks(n, cov.shape[0], seed):
         yield z @ root.T
 
 
@@ -490,13 +471,11 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     rhs = float(_normal.cdf(lam + _normal.ppf(p_a)))
     hits = 0
     total = 0
-    for b, start in enumerate(range(0, n, 1 << 16)):
-        stop = min(start + (1 << 16), n)
-        x = sample_rng(seed, b).standard_normal((stop - start, dimension))
+    for x in _normal_blocks(n, dimension, seed):
         outside = np.maximum(np.abs(x) - r, 0.0)
         dist = np.sqrt(np.sum(outside**2, axis=1))
         hits += int(np.sum(dist <= lam))
-        total += stop - start
+        total += len(x)
     lhs = hits / total
     se = float(np.sqrt(max(lhs * (1.0 - lhs), 1e-300) / total))
     margin = lhs - rhs
@@ -619,11 +598,9 @@ def canary_violation(n: int = 100000, seed: int = 0) -> InequalityReport:
     """
     hits = 0
     total = 0
-    for b, start in enumerate(range(0, n, 1 << 16)):
-        stop = min(start + (1 << 16), n)
-        x = sample_rng(seed, b).standard_normal(stop - start)
-        hits += int(np.sum(np.abs(x) < 1.0))
-        total += stop - start
+    for x in _normal_blocks(n, 1, seed):
+        hits += int(np.sum(np.abs(x[:, 0]) < 1.0))
+        total += len(x)
     lhs = hits / total
     rhs = _interval_probability(2.0, 1.0)
     se = float(np.sqrt(lhs * (1.0 - lhs) / total))

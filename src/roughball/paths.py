@@ -11,20 +11,20 @@ which is Chen-consistent by construction.  Batch variants of the hot operations
 work on stacked arrays and carry the Monte-Carlo layers; the object API stays
 convenient for single paths.
 
-The Monte-Carlo layers reduce a block of paths to per-level maxima of dyadic
-increment norms with dyadic_level_maxima.  It stores the lift component-major,
-B as (d, S, N+1) and C as (d, d, S, N+1), so every ufunc runs over long
-contiguous rows.  Sample-major arrays (S, N+1, d) would put the length-d
-component axis innermost and make numpy run millions of inner loops of length
-2 or 4.  The pairs of all L+1 dyadic levels (2N-1 of them) are taken along the
-contiguous grid axis in one gather, so a chunk of paths is one pass of about
-twenty numpy calls and one maximum.reduceat gives every level's maximum.  A
-pass per level over stride views does the same arithmetic in ten times as
-many calls, most of them tiny at the coarse levels; with two worker threads
-those short GIL-releasing calls make the workers wait on each other.  The
-kernel repeats the arithmetic of the sample-major route operation for
-operation, including numpy's summation order over the d and d x d terms, so
-both give bit-identical norms.
+Every batched Hoelder norm runs through one kernel: dyadic_level_maxima (the
+small-ball sampler, the anderson, cameron_martin and rough Borell checks),
+smallball.sample_allpairs_norms and quantize.pairwise_distance.  It stores
+lifts component-major, B as (d, S, N+1) and C as (d, d, S, N+1), so every
+ufunc runs over long contiguous rows; sample-major arrays (S, N+1, d) would
+make numpy run millions of inner loops of length d.  A pair family, such as
+all 2N-1 dyadic pairs, is taken along the contiguous grid axis in one gather,
+and one maximum.reduceat gives every dyadic level's maximum: about twenty
+numpy calls per chunk of paths, where a pass per level costs ten times as
+many short calls, which make two worker threads wait on each other.  The
+kernel repeats the arithmetic of the sample-major route (batch_prefix,
+pair_increments, difference_increments, batch_homogeneous_norm, kept for the
+single-path object API) operation for operation, including numpy's summation
+order over the d and d x d terms, so both give bit-identical norms.
 """
 
 from __future__ import annotations
@@ -285,14 +285,7 @@ def dyadic_pair_indices(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     n_steps = n_points - 1
     if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"dyadic pair family needs 2^L steps, got {n_steps}")
-    L = n_steps.bit_length() - 1
-    i_list, j_list = [], []
-    for level in range(L + 1):
-        stride = n_steps >> level
-        starts = np.arange(0, n_steps, stride, dtype=np.intp)
-        i_list.append(starts)
-        j_list.append(starts + stride)
-    return np.concatenate(i_list), np.concatenate(j_list)
+    return _dyadic_pairs(n_steps)[:2]
 
 
 def pair_increments(
@@ -352,6 +345,14 @@ def _gathered_increments(B, C, i_idx, j_idx):
     return b, c
 
 
+def _component_difference(bx, cx, by, cy):
+    """Component-major increments (d, ...) and (d, d, ...) of the group
+    difference x^{-1} * y; difference_increments' arithmetic."""
+    b = by - bx
+    c = cy - cx - bx[:, None] * b[None, :]
+    return b, c
+
+
 def _component_norms(b, c, variant):
     """Homogeneous norms of component-major increments b (d, ...) and
     c (d, d, ...), with their level-1 parts; batch_homogeneous_norm's arithmetic."""
@@ -367,14 +368,21 @@ def _component_norms(b, c, variant):
     return np.maximum(part1, l2.max(axis=0)), part1
 
 
-# dyadic_level_maxima walks its block in equal chunks of at most
-# _KERNEL_CHUNK_FLOATS / ((2N-1)(d + d^2)) paths, so a chunk's gathered
-# increments b and c hold 512 KB together: about 11 paths at N=512, d=2, and
-# 64 at N=256, d=1.  Chunks four times larger ran 1.2x (d=2) to 2x (d=1)
-# slower on one thread, as their temporaries fall out of a 2 MB L2 cache and
-# are handed back to the OS and re-faulted on every call; chunks four times
-# smaller paid about 1.3x in per-call overhead.
+# The kernel walks its items (paths, or columns of a distance matrix) in equal
+# chunks whose gathered increments b and c hold at most _KERNEL_CHUNK_FLOATS
+# floats, 512 KB together: about 11 paths at N=512, d=2, and 64 at N=256, d=1
+# for dyadic_level_maxima.  Chunks four times larger ran 1.2x (d=2) to 2x
+# (d=1) slower on one thread, as their temporaries fall out of a 2 MB L2 cache
+# and are handed back to the OS and re-faulted on every call; chunks four
+# times smaller paid about 1.3x in per-call overhead.
 _KERNEL_CHUNK_FLOATS = 2**16
+
+
+def _chunk_bounds(n_items: int, floats_per_item: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of equal kernel chunks of n_items, at least one item each."""
+    n_chunks = min(n_items, max(1, -(-n_items * floats_per_item // _KERNEL_CHUNK_FLOATS)))
+    bounds = [k * n_items // n_chunks for k in range(n_chunks + 1)] if n_items else []
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
@@ -408,27 +416,22 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
             raise ValueError(f"centre must have shape {values.shape[1:]}, got {centre.shape}")
         bh, ch = _gathered_increments(*_component_prefix(centre[None]), i_idx, j_idx)
         centred = np.empty_like(rough)
-    # at least one path per chunk, however long a single path's grid is
-    n_chunks = min(S, -(-S * len(i_idx) * (d + d * d) // _KERNEL_CHUNK_FLOATS))
-    bounds = [k * S // n_chunks for k in range(n_chunks + 1)] if S else []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        B, C = _component_prefix(values[lo:hi])
-        b, c = _gathered_increments(B, C, i_idx, j_idx)
+    for lo, hi in _chunk_bounds(S, len(i_idx) * (d + d * d)):
+        b, c = _gathered_increments(*_component_prefix(values[lo:hi]), i_idx, j_idx)
         norms, lvl1 = _component_norms(b, c, v)
         np.maximum.reduceat(norms, starts, axis=-1, out=rough[lo:hi])
         np.maximum.reduceat(lvl1, starts, axis=-1, out=path[lo:hi])
         if centre is not None:
-            bd = bh - b
-            cd = ch - c - b[:, None] * bd[None, :]
+            bd, cd = _component_difference(b, c, bh, ch)
             np.maximum.reduceat(_component_norms(bd, cd, v)[0], starts, axis=-1,
                                 out=centred[lo:hi])
     return rough, path, centred
 
 
-def _pair_chunks(i_idx, j_idx, dim, budget=2_000_000):
-    """Split a pair family so each chunk keeps level-2 temporaries below budget floats."""
+def _pair_chunks(i_idx, j_idx, dim):
+    """Split a pair family so each chunk keeps level-2 temporaries below 2e6 floats."""
     k = i_idx.shape[0]
-    chunk = max(1, budget // max(dim * dim, 1))
+    chunk = max(1, 2_000_000 // max(dim * dim, 1))
     for start in range(0, k, chunk):
         sl = slice(start, min(start + chunk, k))
         yield i_idx[sl], j_idx[sl]

@@ -1,10 +1,10 @@
 """Covers, entropy bounds, codebooks, and transport for lifted Gaussian laws.
 
 Everything here works on finite sets of lifted paths sharing one dyadic grid.
-The LiftedSet container stores stacked prefix signatures and caches per-level
-dyadic increments, so the Hölder distance between any two members reduces to
-a max over levels of scaled homogeneous norms; pairwise distance matrices are
-assembled in memory-bounded chunks.
+The LiftedSet container stores stacked prefix signatures and caches their
+increments over every dyadic pair, component-major, so pairwise_distance
+reduces two sets to a Hölder distance matrix with the batched norm kernel of
+paths, a memory-bounded chunk of columns at a time.
 
 Probability enters through small-ball curves: the monotone -log p transform
 and its inverse (isotonic regression, then linear interpolation in log-log
@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.stats import norm as _normal
 
-from .algebra import DEFAULT_NORM_VARIANT, batch_homogeneous_norm
+from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import (
     CovarianceModel,
     SamplerPlan,
@@ -28,7 +28,8 @@ from .gaussian import (
     sample_path_block,
     sample_rng,
 )
-from .paths import CMPath, GridRoughPath, batch_prefix, pair_increments
+from .paths import (CMPath, GridRoughPath, _chunk_bounds, _component_difference,
+                    _component_norms, _dyadic_pairs, _gathered_increments, batch_prefix)
 from .smallball import SBPCurve
 
 
@@ -51,8 +52,7 @@ class LiftedSet:
         self.B = B
         self.C = C
         self.n_steps = n_steps
-        self.levels = n_steps.bit_length() - 1
-        self._level_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._dyadic: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -104,19 +104,14 @@ class LiftedSet:
         are the embedded points."""
         return self.B[:, -1, :]
 
-    def level_increments(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached group increments over the level-l dyadic pairs.
-
-        Index arrays, not stride slices: numpy lays a gather out with the
-        sample axis innermost, and pairwise_distance's broadcasts run about
-        15% faster on that layout than on the C-ordered result of a slice
-        (256 x 64 paths, N=64, d=1).
-        """
-        if level not in self._level_cache:
-            stride = self.n_steps >> level
-            i_idx = np.arange(0, self.n_steps, stride, dtype=np.intp)
-            self._level_cache[level] = pair_increments(self.B, self.C, i_idx, i_idx + stride)
-        return self._level_cache[level]
+    def dyadic_increments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached group increments over every dyadic pair, component-major:
+        level 1 (d, m, 2N-1) and level 2 (d, d, m, 2N-1), pairs in the order
+        of paths._dyadic_pairs."""
+        if self._dyadic is None:
+            B, C = np.moveaxis(self.B, -1, 0), np.moveaxis(self.C, (-2, -1), (0, 1))
+            self._dyadic = _gathered_increments(B, C, *_dyadic_pairs(self.n_steps)[:2])
+        return self._dyadic
 
 
 def embed_constant_increment(points: np.ndarray, horizon: float = 1.0) -> LiftedSet:
@@ -135,27 +130,28 @@ def embed_constant_increment(points: np.ndarray, horizon: float = 1.0) -> Lifted
 
 
 def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
-                      variant: str = DEFAULT_NORM_VARIANT,
-                      chunk_floats: float = 2**24) -> np.ndarray:
-    """Dyadic-family Hölder distance matrix, shape (x.size, y.size)."""
+                      variant: str = DEFAULT_NORM_VARIANT) -> np.ndarray:
+    """Dyadic-family Hölder distance matrix, shape (x.size, y.size).
+
+    For each chunk of y's columns: the group differences to every member of
+    x over all dyadic pairs, their homogeneous norms, the largest norm per
+    level divided by that level's (T 2^-l)^alpha, and the largest over levels.
+    """
     if not np.array_equal(x.times, y.times):
         raise ValueError("both sets must share one grid")
-    m1, m2, d = x.size, y.size, x.dim
-    out = np.zeros((m1, m2))
+    v = _resolve_variant(variant)
+    bx, cx = x.dyadic_increments()
+    by, cy = y.dyadic_increments()
+    starts = _dyadic_pairs(x.n_steps)[2]
     horizon = x.times[-1]
-    for level in range(x.levels + 1):
-        bx, cx = x.level_increments(level)
-        by, cy = y.level_increments(level)
-        k = bx.shape[1]
-        scale = (horizon * 0.5**level) ** alpha
-        q = max(1, int(chunk_floats / max(1, m1 * k * d * d)))
-        for start in range(0, m2, q):
-            stop = min(start + q, m2)
-            b = by[None, start:stop] - bx[:, None]
-            c = (cy[None, start:stop] - cx[:, None]
-                 - bx[:, None, :, :, None] * b[..., None, :])
-            lvl = batch_homogeneous_norm(b, c, variant).max(axis=-1) / scale
-            np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
+    scale = np.array([(horizon * 0.5**level) ** alpha for level in range(len(starts))])
+    d, m1, k = bx.shape
+    bx, cx = bx[:, :, None], cx[:, :, :, None]
+    out = np.empty((m1, y.size))
+    for lo, hi in _chunk_bounds(y.size, m1 * k * (d + d * d)):
+        b, c = _component_difference(bx, cx, by[:, None, lo:hi], cy[:, :, None, lo:hi])
+        level_max = np.maximum.reduceat(_component_norms(b, c, v)[0], starts, axis=-1)
+        out[:, lo:hi] = (level_max / scale).max(axis=-1)
     return out
 
 

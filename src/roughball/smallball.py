@@ -20,15 +20,18 @@ import numpy as np
 from scipy.special import erf, gammainc
 from scipy.stats import norm as _normal
 
-from .algebra import DEFAULT_NORM_VARIANT, batch_homogeneous_norm
+from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
 from .paths import (
     GridRoughPath,
+    _chunk_bounds,
+    _component_norms,
+    _component_prefix,
+    _gathered_increments,
     all_pair_indices,
     batch_prefix,
     dyadic_holder_bound,
     dyadic_level_maxima,
-    pair_increments,
 )
 
 NORM_KINDS = (
@@ -271,6 +274,7 @@ class DyadicNormEnsemble:
     model: str
     seed: int
     variant: str = DEFAULT_NORM_VARIANT
+    centred_level_max: np.ndarray | None = None  # (n_samples, L+1), distances to a centre
 
     @property
     def n_samples(self) -> int:
@@ -287,6 +291,12 @@ class DyadicNormEnsemble:
     def path_norms(self, alpha: float) -> np.ndarray:
         return self._norms(self.path_level_max, alpha)
 
+    def centred_norms(self, alpha: float) -> np.ndarray:
+        """Hölder distances from each sample's lift to the centre's lift."""
+        if self.centred_level_max is None:
+            raise ValueError("ensemble was sampled without a centre")
+        return self._norms(self.centred_level_max, alpha)
+
     def norms(self, alpha: float, norm_kind: str) -> np.ndarray:
         if norm_kind == "rough_holder_dyadic":
             return self.rough_norms(alpha)
@@ -297,13 +307,15 @@ class DyadicNormEnsemble:
 
 def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_seed: int,
                                n_steps: int = 1024, variant: str = DEFAULT_NORM_VARIANT,
-                               block: int = 256, threads: int = 1) -> DyadicNormEnsemble:
+                               block: int = 256, threads: int = 1,
+                               centre: np.ndarray | None = None) -> DyadicNormEnsemble:
     """Simulate lifted paths and record per-level dyadic norm maxima.
 
     One pass serves every Hölder exponent and both the rough and the
-    level-1-only norm families.  Work is blocked over samples; per-sample
-    seeding keeps the result independent of the blocking, so threaded and
-    serial runs produce bit-identical ensembles (blocks write disjoint rows).
+    level-1-only norm families, and with a centre path (N+1, d) the distances
+    to its lift.  Work is blocked over samples; per-sample seeding keeps the
+    result independent of the blocking, so threaded and serial runs produce
+    bit-identical ensembles (blocks write disjoint rows).
     """
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
@@ -312,11 +324,15 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     plan = SamplerPlan(model, times)
     rough = np.empty((n_samples, levels + 1))
     pathm = np.empty((n_samples, levels + 1))
+    centred = None if centre is None else np.empty((n_samples, levels + 1))
 
     def one_block(start: int) -> None:
         stop = min(start + block, n_samples)
         values = sample_path_block(plan, master_seed, start, stop)
-        rough[start:stop], pathm[start:stop], _ = dyadic_level_maxima(values, variant)
+        rough[start:stop], pathm[start:stop], cmax = dyadic_level_maxima(
+            values, variant, centre=centre)
+        if centred is not None:
+            centred[start:stop] = cmax
 
     starts = range(0, n_samples, block)
     if threads > 1:
@@ -335,25 +351,27 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
         model=model.describe(),
         seed=int(master_seed),
         variant=variant,
+        centred_level_max=centred,
     )
 
 
 def sample_allpairs_norms(model: CovarianceModel, alpha: float, n_samples: int,
                           master_seed: int, n_steps: int = 256,
-                          variant: str = DEFAULT_NORM_VARIANT, block: int = 64) -> np.ndarray:
+                          variant: str = DEFAULT_NORM_VARIANT) -> np.ndarray:
     """All-pairs rough Hölder norms (grid-bias bracket for the dyadic family)."""
     if n_steps > 512:
         raise ValueError("all-pairs norms are supported at n_steps <= 512")
+    v = _resolve_variant(variant)
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
     i_idx, j_idx = all_pair_indices(n_steps + 1)
     span = (times[j_idx] - times[i_idx]) ** alpha
+    d = model.dim
     out = np.empty(n_samples)
-    for start in range(0, n_samples, block):
-        stop = min(start + block, n_samples)
-        B, C = batch_prefix(sample_path_block(plan, master_seed, start, stop))
-        b, c = pair_increments(B, C, i_idx, j_idx)
-        out[start:stop] = (batch_homogeneous_norm(b, c, variant) / span).max(axis=1)
+    for lo, hi in _chunk_bounds(n_samples, len(i_idx) * (d + d * d)):
+        values = sample_path_block(plan, master_seed, lo, hi)
+        b, c = _gathered_increments(*_component_prefix(values), i_idx, j_idx)
+        out[lo:hi] = (_component_norms(b, c, v)[0] / span).max(axis=-1)
     return out
 
 

@@ -7,11 +7,12 @@ adaptive quadrature instead of sampling, and the Gaussian ball oracle
 integrates densities directly rather than going through incomplete-gamma
 shortcuts.  Slow is fine here; these only run on tiny instances.
 
-Two references pin the vectorised Monte-Carlo routes bit for bit: the
-per-sample, per-component loop of the exact samplers, and the sample-major,
-level-by-level route to dyadic norm maxima (gathered pair increments, then
-batched homogeneous norms).  They keep the arithmetic of the loops they
-replaced, so np.array_equal against them is the right test.
+Four references pin the vectorised routes bit for bit: the per-sample,
+per-component loop of the exact samplers, and the sample-major routes (gathered
+pair increments, then batched homogeneous norms) to dyadic norm maxima, to
+all-pairs norms, and, level by level, to dyadic distance matrices between
+lifted sets.  They keep the arithmetic of the loops they replaced, so
+np.array_equal against them is the right test.
 """
 
 from __future__ import annotations
@@ -270,3 +271,49 @@ def dyadic_level_maxima_loop(values, variant, centre=None):
             bd, cd = difference_increments(b, c, bh, ch)
             centred[:, level] = batch_homogeneous_norm(bd, cd, variant).max(axis=1)
     return rough, path, centred
+
+
+def allpairs_norms_sample_major(values, times, alpha, variant):
+    """All-pairs Hoelder norms of a block of paths from sample-major (S, K, d)
+    and (S, K, d, d) stacks of every grid pair's increments."""
+    from roughball.algebra import batch_homogeneous_norm
+    from roughball.paths import pair_increments
+
+    B, C = prefix_sample_major(values)
+    i_idx, j_idx = np.triu_indices(len(times), k=1)
+    b, c = pair_increments(B, C, i_idx, j_idx)
+    span = (times[j_idx] - times[i_idx]) ** alpha
+    return (batch_homogeneous_norm(b, c, variant) / span).max(axis=1)
+
+
+def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
+    """Dyadic Hoelder distance matrix between two lifted sets, level by level.
+
+    Per level, broadcasts the pair increments of x against a chunk of y's
+    columns into sample-major (m1, q, K, d, d) stacks and takes
+    batch_homogeneous_norm, as quantize.pairwise_distance did before the
+    component-major kernel.
+    """
+    from roughball.algebra import batch_homogeneous_norm
+    from roughball.paths import pair_increments
+
+    m1, m2, d = x.size, y.size, x.dim
+    n_steps = x.n_steps
+    out = np.zeros((m1, m2))
+    horizon = x.times[-1]
+    for level in range(n_steps.bit_length()):
+        stride = n_steps >> level
+        i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
+        bx, cx = pair_increments(x.B, x.C, i_idx, i_idx + stride)
+        by, cy = pair_increments(y.B, y.C, i_idx, i_idx + stride)
+        k = bx.shape[1]
+        scale = (horizon * 0.5**level) ** alpha
+        q = max(1, int(chunk_floats / max(1, m1 * k * d * d)))
+        for start in range(0, m2, q):
+            stop = min(start + q, m2)
+            b = by[None, start:stop] - bx[:, None]
+            c = (cy[None, start:stop] - cx[:, None]
+                 - bx[:, None, :, :, None] * b[..., None, :])
+            lvl = batch_homogeneous_norm(b, c, variant).max(axis=-1) / scale
+            np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
+    return out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_transport
+from oracles import brute_force_transport, pairwise_distance_loop
 from roughball import (
     CMPath,
     DiscreteMeasure,
@@ -16,6 +16,7 @@ from roughball import (
     empirical_measures,
     empirical_rate_experiment,
     entropy_bounds_from_sbp,
+    fbm_model,
     greedy_cover,
     holder_distance,
     lift_piecewise_linear,
@@ -54,12 +55,29 @@ def test_pairwise_matches_pathwise_distance(rng):
 
 
 def test_pairwise_chunking_is_invisible(rng):
-    xs = _brownian_set(7, 21)
+    # 300 rows put every column in its own chunk; 5 rows put ~50 in one
+    xs = _brownian_set(300, 21)
     full = pairwise_distance(xs, xs, alpha=0.4)
-    chunked = pairwise_distance(xs, xs, alpha=0.4, chunk_floats=2000)
-    assert np.array_equal(full, chunked)
+    rows = pairwise_distance(xs.subset(range(5)), xs, alpha=0.4)
+    column = pairwise_distance(xs, xs.subset([7]), alpha=0.4)
+    assert np.array_equal(full[:5], rows)
+    assert np.array_equal(full[:, 7:8], column)
     assert np.abs(np.diag(full)).max() == 0.0
     assert np.abs(full - full.T).max() <= 1e-7
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pairwise_matches_level_loop(variant, dim):
+    for model in (brownian_model(dim=dim), fbm_model(0.4, dim=dim)):
+        xs = LiftedSet.from_model(model, 300, 41, n_steps=64)
+        ys = LiftedSet.from_model(model, 23, 42, n_steps=64)
+        got = pairwise_distance(xs, ys, alpha=0.4, variant=variant)
+        assert got.shape == (300, 23)
+        assert np.array_equal(got, pairwise_distance_loop(xs, ys, 0.4, variant))
+        empty = pairwise_distance(xs.subset([]), ys, alpha=0.4, variant=variant)
+        assert empty.shape == (0, 23)
+        assert np.array_equal(empty, pairwise_distance_loop(xs.subset([]), ys, 0.4, variant))
 
 
 def test_lifted_set_from_paths_roundtrip(rng):

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import gaussian_ball_probability
+from oracles import (
+    allpairs_norms_sample_major,
+    dyadic_level_maxima_loop,
+    gaussian_ball_probability,
+)
 from roughball import (
     brownian_model,
+    fbm_model,
     erf_bound_scan,
     erf_lower_bounds,
     estimate_sbp_curve,
@@ -15,6 +20,7 @@ from roughball import (
     sample_dyadic_level_maxima,
     wilson_interval,
 )
+from roughball.gaussian import SamplerPlan, sample_path_block
 from roughball.smallball import (
     curve_from_norms,
     sample_allpairs_norms,
@@ -105,6 +111,38 @@ def test_dyadic_sampler_threads_and_blocks_are_invisible():
     assert np.array_equal(base.rough_level_max, threaded.rough_level_max)
     assert np.array_equal(base.path_level_max, threaded.path_level_max)
     assert np.array_equal(base.rough_level_max, reblocked.rough_level_max)
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_allpairs_norms_match_sample_major_route(variant, dim):
+    m = fbm_model(0.4, dim=dim)
+    for n_steps, n in ((32, 70), (256, 5)):
+        times = np.linspace(0.0, m.horizon, n_steps + 1)
+        values = sample_path_block(SamplerPlan(m, times), 8, 0, n)
+        got = sample_allpairs_norms(m, 0.4, n, 8, n_steps=n_steps, variant=variant)
+        assert np.array_equal(got, allpairs_norms_sample_major(values, times, 0.4, variant))
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+def test_centred_ensemble_matches_level_loop(variant):
+    m = brownian_model(dim=2)
+    times = np.linspace(0.0, 1.0, 65)
+    centre = np.stack([times, np.sin(3.0 * times)], axis=1)
+    ens = sample_dyadic_level_maxima(m, 40, 5, n_steps=64, variant=variant, block=16,
+                                     centre=centre)
+    ref = dyadic_level_maxima_loop(sample_path_block(SamplerPlan(m, times), 5, 0, 40),
+                                   variant, centre=centre)
+    for got, want in zip((ens.rough_level_max, ens.path_level_max, ens.centred_level_max),
+                         ref):
+        assert np.array_equal(got, want)
+    span = 0.5 ** np.arange(7)
+    assert np.array_equal(ens.centred_norms(0.4), np.max(ref[2] / span**0.4, axis=1))
+    plain = sample_dyadic_level_maxima(m, 40, 5, n_steps=64, variant=variant)
+    assert plain.centred_level_max is None
+    assert np.array_equal(plain.rough_level_max, ens.rough_level_max)
+    with pytest.raises(ValueError, match="without a centre"):
+        plain.centred_norms(0.4)
 
 
 def test_norm_route_orderings_per_sample():

@@ -21,7 +21,6 @@ block or chunk size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,17 +315,6 @@ def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int,
         values = sample_path_block(plan, master_seed, start, min(start + _DRAW_CHUNK, n))
         for k, row in enumerate(values):
             yield PathSample(plan.times, row, int(master_seed), start + k)
-
-
-def dump_samples_csv(path, samples) -> None:
-    """Columnar dump (time, component, value, sample_id) of an iterable of samples."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "component", "value", "sample_id"])
-        for s in samples:
-            for k, t in enumerate(s.times):
-                for c in range(s.values.shape[1]):
-                    writer.writerow([repr(float(t)), c, repr(float(s.values[k, c])), s.index])
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,6 @@ def reports_csv_text(reports, config_hash: str | None = None) -> str:
     return buf.getvalue()
 
 
-def write_reports_csv(path, reports, config_hash: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(reports_csv_text(reports, config_hash))
-
-
 def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> str:
     if pooled_se is None or pooled_se == 0.0:
         return "holds" if margin >= -det_tol else "violated"

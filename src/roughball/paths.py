@@ -11,20 +11,27 @@ which is Chen-consistent by construction.  Batch variants of the hot operations
 work on stacked arrays and carry the Monte-Carlo layers; the object API stays
 convenient for single paths.
 
-Every batched Hoelder norm runs through one kernel: dyadic_level_maxima (the
+Every Hoelder norm runs through one kernel: dyadic_level_maxima (the
 small-ball sampler, the anderson, cameron_martin and rough Borell checks),
-smallball.sample_allpairs_norms and quantize.pairwise_distance.  It stores
-lifts component-major, B as (d, S, N+1) and C as (d, d, S, N+1), so every
-ufunc runs over long contiguous rows; sample-major arrays (S, N+1, d) would
-make numpy run millions of inner loops of length d.  A pair family, such as
-all 2N-1 dyadic pairs, is taken along the contiguous grid axis in one gather,
-and one maximum.reduceat gives every dyadic level's maximum: about twenty
-numpy calls per chunk of paths, where a pass per level costs ten times as
-many short calls, which make two worker threads wait on each other.  The
-kernel repeats the arithmetic of the sample-major route (batch_prefix,
-pair_increments, difference_increments, batch_homogeneous_norm, kept for the
-single-path object API) operation for operation, including numpy's summation
-order over the d and d x d terms, so both give bit-identical norms.
+the all-pairs and lemma-bound samplers of smallball, quantize.pairwise_distance
+and the object API (holder_distance, holder_norm, geometric_defect,
+dyadic_holder_bound).  It stores lifts component-major, B as (d, S, N+1) and
+C as (d, d, S, N+1), so every ufunc runs over long contiguous rows;
+sample-major arrays (S, N+1, d) would make numpy run millions of inner loops
+of length d.  A single path's prefix arrays enter as component-major views.
+A pair family, such as all 2N-1 dyadic pairs, is taken along the grid axis in
+one gather, and one maximum.reduceat gives every dyadic level's maximum: about
+twenty numpy calls per chunk of paths, where a pass per level costs ten times
+as many short calls, which make two worker threads wait on each other.  Paths
+and pairs are walked in chunks from _chunk_bounds.
+
+The sample-major functions batch_prefix, pair_increments,
+difference_increments and algebra.batch_homogeneous_norm stay public entry
+points.  Nothing in the package calls the last three: the test oracles use
+them as bit-identity references and the benchmark tracer rebinds them by name.
+The kernel repeats their arithmetic operation for operation, including
+numpy's summation order over the d and d x d terms, so both routes give
+bit-identical norms.
 """
 
 from __future__ import annotations
@@ -34,11 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    G2Element,
-    _resolve_variant,
-    batch_homogeneous_norm,
-)
+from .algebra import G2Element, _resolve_variant
 
 
 def _check_times(times) -> np.ndarray:
@@ -337,6 +340,12 @@ def _dyadic_pairs(n_steps: int):
     return i_idx, j_idx, starts
 
 
+def _component_major(B, C):
+    """Component-major views (d, ..., N+1) and (d, d, ..., N+1) of sample-major
+    prefix arrays (..., N+1, d) and (..., N+1, d, d), without a copy."""
+    return np.moveaxis(B, -1, 0), np.moveaxis(C, (-2, -1), (0, 1))
+
+
 def _gathered_increments(B, C, i_idx, j_idx):
     """Component-major group increments (d, ..., K) and (d, d, ..., K) for index pairs."""
     Bi = np.take(B, i_idx, axis=-1)
@@ -368,13 +377,13 @@ def _component_norms(b, c, variant):
     return np.maximum(part1, l2.max(axis=0)), part1
 
 
-# The kernel walks its items (paths, or columns of a distance matrix) in equal
-# chunks whose gathered increments b and c hold at most _KERNEL_CHUNK_FLOATS
-# floats, 512 KB together: about 11 paths at N=512, d=2, and 64 at N=256, d=1
-# for dyadic_level_maxima.  Chunks four times larger ran 1.2x (d=2) to 2x
-# (d=1) slower on one thread, as their temporaries fall out of a 2 MB L2 cache
-# and are handed back to the OS and re-faulted on every call; chunks four
-# times smaller paid about 1.3x in per-call overhead.
+# The kernel walks its items (paths, columns of a distance matrix, or one
+# path's grid pairs) in equal chunks whose gathered increments b and c hold at
+# most _KERNEL_CHUNK_FLOATS floats, 512 KB together: about 11 paths at N=512,
+# d=2, and 64 at N=256, d=1 for dyadic_level_maxima.  Chunks four times
+# larger ran 1.2x (d=2) to 2x (d=1) slower on one thread, as their temporaries
+# fall out of a 2 MB L2 cache and are handed back to the OS and re-faulted on
+# every call; chunks four times smaller paid about 1.3x in per-call overhead.
 _KERNEL_CHUNK_FLOATS = 2**16
 
 
@@ -428,15 +437,6 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
     return rough, path, centred
 
 
-def _pair_chunks(i_idx, j_idx, dim):
-    """Split a pair family so each chunk keeps level-2 temporaries below 2e6 floats."""
-    k = i_idx.shape[0]
-    chunk = max(1, 2_000_000 // max(dim * dim, 1))
-    for start in range(0, k, chunk):
-        sl = slice(start, min(start + chunk, k))
-        yield i_idx[sl], j_idx[sl]
-
-
 # ---------------------------------------------------------------------------
 # Geometric defect and Chen audit
 # ---------------------------------------------------------------------------
@@ -446,12 +446,12 @@ def geometric_defect(x: GridRoughPath) -> float:
     """Max over grid pairs of the sup-norm gap between Sym(level2) and half the
     squared level-1 increment.  Zero (to rounding) exactly for weakly geometric
     paths; a corrupted step shows up in every pair that spans it."""
-    B, C = x.prefix_level1, x.prefix_level2
+    B, C = _component_major(x.prefix_level1, x.prefix_level2)
     i_all, j_all = all_pair_indices(x.times.shape[0])
     worst = 0.0
-    for i_idx, j_idx in _pair_chunks(i_all, j_all, x.dim):
-        b, c = pair_increments(B, C, i_idx, j_idx)
-        gap = 0.5 * (c + np.swapaxes(c, -1, -2)) - 0.5 * b[..., :, None] * b[..., None, :]
+    for lo, hi in _chunk_bounds(len(i_all), x.dim + x.dim**2):
+        b, c = _gathered_increments(B, C, i_all[lo:hi], j_all[lo:hi])
+        gap = 0.5 * (c + np.swapaxes(c, 0, 1)) - 0.5 * b[:, None] * b[None, :]
         worst = max(worst, float(np.abs(gap).max()))
     return worst
 
@@ -518,16 +518,17 @@ def holder_distance(
     _check_same_grid(x, y)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    v = _resolve_variant(variant)
     i_all, j_all = _resolve_pairs(x, pair_set)
-    times = x.times
+    weights = (x.times[j_all] - x.times[i_all]) ** alpha
+    Bx, Cx = _component_major(x.prefix_level1, x.prefix_level2)
+    By, Cy = _component_major(y.prefix_level1, y.prefix_level2)
     worst = 0.0
-    for i_idx, j_idx in _pair_chunks(i_all, j_all, x.dim):
-        bx, cx = pair_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
-        by, cy = pair_increments(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
-        b, c = difference_increments(bx, cx, by, cy)
-        norms = batch_homogeneous_norm(b, c, variant)
-        weights = (times[j_idx] - times[i_idx]) ** alpha
-        worst = max(worst, float((norms / weights).max()))
+    for lo, hi in _chunk_bounds(len(i_all), x.dim + x.dim**2):
+        i_idx, j_idx = i_all[lo:hi], j_all[lo:hi]
+        b, c = _component_difference(*_gathered_increments(Bx, Cx, i_idx, j_idx),
+                                     *_gathered_increments(By, Cy, i_idx, j_idx))
+        worst = max(worst, float((_component_norms(b, c, v)[0] / weights[lo:hi]).max()))
     return worst
 
 
@@ -561,17 +562,53 @@ class DyadicBoundResult:
     truncation: str = "grid-resolution"
 
 
-def _uniform_level_norms(x: GridRoughPath, variant) -> list[np.ndarray]:
-    """Homogeneous norms of all uniform dyadic intervals, per level 0..L."""
-    n_steps = x.n_steps
+def _lemma_depths(times: np.ndarray, alpha: float, eps: float) -> tuple[int, int]:
+    """Grid depth L and window depth e of the dyadic majorant, after checking
+    a uniform grid of 2^L steps, alpha in (0, 1] and eps = T 2^-e, 1 <= e < L."""
+    n_steps = times.shape[0] - 1
+    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
+        raise ValueError(f"needs 2^L steps, got {n_steps}")
+    T = times[-1] - times[0]
+    dt = np.diff(times)
+    if not np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * T):
+        raise ValueError("needs a uniform grid")
     L = n_steps.bit_length() - 1
-    out = []
-    for level in range(L + 1):
-        stride = n_steps >> level
-        b, c = pair_increments(x.prefix_level1, x.prefix_level2,
-                               slice(0, n_steps, stride), slice(stride, None, stride))
-        out.append(batch_homogeneous_norm(b, c, variant))
-    return out
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    ratio = T / eps
+    e = int(round(np.log2(ratio)))
+    if e < 1 or e >= L or abs(ratio - 2.0**e) > 1e-9 * ratio:
+        raise ValueError(
+            f"eps must equal T * 2^-e with 1 <= e < grid depth {L}; got eps={eps}"
+        )
+    return L, e
+
+
+def _lemma_terms(norms: np.ndarray, alpha: float, eps: float,
+                 e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine terms (S,) of the dyadic majorant from the norms
+    (S, 2N-1) of every dyadic pair of S paths, in _dyadic_pairs' order."""
+    S, K = norms.shape
+    starts = _dyadic_pairs((K + 1) // 2)[2]
+    L = len(starts) - 1
+    level_sups = np.maximum.reduceat(norms, starts, axis=-1)
+
+    # Coarse term: dyadic expansion of increments from the origin.
+    coarse = 2.0 * level_sups[:, 1:].sum(axis=-1) / eps**alpha
+
+    # Fine term: windows of width eps 2^{-j} starting at multiples of the width,
+    # each decomposed over levels j+1 .. L-e of width eps 2^{-l}.
+    fine = np.zeros(S)
+    for j in range(0, L - e):
+        i_max = (2**j) * (2**e - 1)
+        window_sums = np.zeros((S, i_max + 1))
+        for level in range(j + 1, L - e + 1):
+            w = 2 ** (level - j)
+            lo = starts[e + level]
+            window_sums += norms[:, lo:lo + (i_max + 1) * w].reshape(S, -1, w).max(axis=-1)
+        denom = eps**alpha * 2.0 ** (-alpha * (j + 1))
+        np.maximum(fine, 3.0 * window_sums.max(axis=-1) / denom, out=fine)
+    return coarse, fine
 
 
 def dyadic_holder_bound(
@@ -592,49 +629,15 @@ def dyadic_holder_bound(
     Requires a uniform grid of 2^L steps starting at 0, and eps = T 2^{-e}
     with 1 <= e < L so every window endpoint is a grid point.
     """
-    n_steps = x.n_steps
-    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"needs 2^L steps, got {n_steps}")
-    times = x.times
-    T = times[-1] - times[0]
-    dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * T):
-        raise ValueError("needs a uniform grid")
-    L = n_steps.bit_length() - 1
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    ratio = T / eps
-    e = int(round(np.log2(ratio)))
-    if e < 1 or e >= L or abs(ratio - 2.0**e) > 1e-9 * ratio:
-        raise ValueError(
-            f"eps must equal T * 2^-e with 1 <= e < grid depth {L}; got eps={eps}"
-        )
-
-    level_norms = _uniform_level_norms(x, variant)
-    level_sups = np.array([ln.max() for ln in level_norms])
-
-    # Coarse term: dyadic expansion of increments from the origin.
-    coarse = 2.0 * level_sups[1:].sum() / eps**alpha
-
-    # Fine term: windows of width eps 2^{-j} starting at multiples of the width,
-    # each decomposed over levels j+1 .. L-e of width eps 2^{-l}.
-    fine = 0.0
-    for j in range(0, L - e):
-        i_max = (2**j) * (2**e - 1)
-        window_sums = np.zeros(i_max + 1)
-        for level in range(j + 1, L - e + 1):
-            norms = level_norms[e + level]
-            w = 2 ** (level - j)
-            needed = (i_max + 1) * w
-            windowed = norms[:needed].reshape(-1, w).max(axis=1)
-            window_sums += windowed
-        denom = eps**alpha * 2.0 ** (-alpha * (j + 1))
-        fine = max(fine, 3.0 * float(window_sums.max()) / denom)
-
+    L, e = _lemma_depths(x.times, alpha, eps)
+    b, c = _gathered_increments(*_component_major(x.prefix_level1, x.prefix_level2),
+                                *_dyadic_pairs(x.n_steps)[:2])
+    norms = _component_norms(b, c, _resolve_variant(variant))[0]
+    coarse, fine = (float(term[0]) for term in _lemma_terms(norms[None], alpha, eps, e))
     return DyadicBoundResult(
-        value=float(max(coarse, fine)),
-        coarse_term=float(coarse),
-        fine_term=float(fine),
+        value=max(coarse, fine),
+        coarse_term=coarse,
+        fine_term=fine,
         alpha=float(alpha),
         eps=float(eps),
         grid_depth=L,
@@ -695,28 +698,3 @@ def q_variation(values: np.ndarray, q: float) -> float:
     for j in range(1, n):
         best[j] = np.max(best[:j] + dist[:j, j])
     return float(best[-1] ** (1.0 / q))
-
-
-def q_variation_holder(h: CMPath, q: float, alpha: float) -> float:
-    """Mixed q-variation Hoelder functional: sup over grid windows [s, t] of the
-    q-variation of h on the window divided by |t-s|^alpha.
-
-    O(n^3) in the grid size; intended for the modest grids where drift
-    regularity needs auditing, not for Monte-Carlo loops.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
-    values, times = h.values, h.times
-    n = values.shape[0]
-    dist = np.linalg.norm(values[None, :, :] - values[:, None, :], axis=-1) ** q
-    worst = 0.0
-    for s in range(n - 1):
-        best = np.zeros(n - s)
-        for j in range(1, n - s):
-            best[j] = np.max(best[:j] + dist[s : s + j, s + j])
-            val = best[j] ** (1.0 / q) / (times[s + j] - times[s]) ** alpha
-            if val > worst:
-                worst = val
-    return float(worst)

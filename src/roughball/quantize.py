@@ -29,7 +29,8 @@ from .gaussian import (
     sample_rng,
 )
 from .paths import (CMPath, GridRoughPath, _chunk_bounds, _component_difference,
-                    _component_norms, _dyadic_pairs, _gathered_increments, batch_prefix)
+                    _component_major, _component_norms, _dyadic_pairs, _gathered_increments,
+                    batch_prefix)
 from .smallball import SBPCurve
 
 
@@ -46,8 +47,10 @@ class LiftedSet:
         n_steps = times.size - 1
         if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
             raise ValueError(f"lifted sets need 2^L steps, got {n_steps}")
-        if B.ndim != 3 or C.ndim != 4 or B.shape[:2] != C.shape[:2]:
-            raise ValueError("prefix arrays must have shapes (m, N+1, d) and (m, N+1, d, d)")
+        n_pts = n_steps + 1
+        if B.ndim != 3 or B.shape[1] != n_pts or C.shape != B.shape + B.shape[-1:]:
+            raise ValueError(f"prefix arrays must have shapes (m, {n_pts}, d) and "
+                             f"(m, {n_pts}, d, d) on a grid of {n_pts} points")
         self.times = times
         self.B = B
         self.C = C
@@ -109,8 +112,8 @@ class LiftedSet:
         level 1 (d, m, 2N-1) and level 2 (d, d, m, 2N-1), pairs in the order
         of paths._dyadic_pairs."""
         if self._dyadic is None:
-            B, C = np.moveaxis(self.B, -1, 0), np.moveaxis(self.C, (-2, -1), (0, 1))
-            self._dyadic = _gathered_increments(B, C, *_dyadic_pairs(self.n_steps)[:2])
+            self._dyadic = _gathered_increments(*_component_major(self.B, self.C),
+                                                *_dyadic_pairs(self.n_steps)[:2])
         return self._dyadic
 
 
@@ -139,6 +142,8 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     """
     if not np.array_equal(x.times, y.times):
         raise ValueError("both sets must share one grid")
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     v = _resolve_variant(variant)
     bx, cx = x.dyadic_increments()
     by, cy = y.dyadic_increments()
@@ -693,14 +698,9 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float
         raise ValueError("cost matrix shape mismatch")
 
     # marginal constraints: row sums = mu.weights, column sums = nu.weights
-    rows = []
-    cols = []
-    for i in range(m):
-        rows.extend([i] * n)
-        cols.extend(range(i * n, (i + 1) * n))
-    for j in range(n):
-        rows.extend([m + j] * m)
-        cols.extend(range(j, m * n, n))
+    flat = np.arange(m * n)
+    rows = np.concatenate([np.repeat(np.arange(m), n), np.repeat(np.arange(m, m + n), m)])
+    cols = np.concatenate([flat, flat.reshape(m, n).T.ravel()])
     a_eq = sparse.csr_matrix(
         (np.ones(2 * m * n), (rows, cols)), shape=(m + n, m * n)
     )
@@ -749,19 +749,17 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
             cell_seed = int(np.random.SeedSequence((seed, n, rep)).generate_state(1)[0])
             atoms = LiftedSet.from_model(model, n, cell_seed, n_steps)
             cost = pairwise_distance(reference, atoms, alpha, variant) ** r
-            fresh = LiftedSet.from_model(model, m_weights, cell_seed + 1, n_steps)
-            assign = np.argmin(pairwise_distance(fresh, atoms, alpha, variant), axis=1)
-            counts = np.bincount(assign, minlength=n).astype(float)
+            measures = empirical_measures(model, atoms, m_weights, alpha, cell_seed + 1,
+                                          variant)
+            weights = measures["weighted"].weights
 
             ref_dm = DiscreteMeasure(reference, ref_measure_w)
-            w_weighted = wasserstein(ref_dm, DiscreteMeasure(atoms, counts / counts.sum()),
-                                     r, alpha, cost_matrix=cost)
-            w_uniform = wasserstein(ref_dm, DiscreteMeasure(atoms, np.full(n, 1.0 / n)),
-                                    r, alpha, cost_matrix=cost)
+            w_weighted = wasserstein(ref_dm, measures["weighted"], r, alpha, cost_matrix=cost)
+            w_uniform = wasserstein(ref_dm, measures["uniform"], r, alpha, cost_matrix=cost)
             boot_vals = []
             boot_rng = np.random.default_rng((seed, n, rep, 0xB007))
             for _ in range(bootstrap):
-                bw = boot_rng.multinomial(m_weights, counts / counts.sum()).astype(float)
+                bw = boot_rng.multinomial(m_weights, weights).astype(float)
                 if bw.sum() == 0:
                     continue
                 boot_vals.append(

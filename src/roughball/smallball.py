@@ -23,14 +23,14 @@ from scipy.stats import norm as _normal
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
 from .paths import (
-    GridRoughPath,
     _chunk_bounds,
     _component_norms,
     _component_prefix,
+    _dyadic_pairs,
     _gathered_increments,
+    _lemma_depths,
+    _lemma_terms,
     all_pair_indices,
-    batch_prefix,
-    dyadic_holder_bound,
     dyadic_level_maxima,
 )
 
@@ -207,10 +207,6 @@ class SBPCurve:
             ])
         return buf.getvalue()
 
-    def write_csv(self, path, config_hash: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv_text(config_hash))
-
 
 def curve_from_norms(norms, eps_list, alpha: float, norm_kind: str, model: str,
                      seed: int) -> SBPCurve:
@@ -305,9 +301,14 @@ class DyadicNormEnsemble:
         raise ValueError(f"ensemble stores dyadic norms only, not {norm_kind!r}")
 
 
+# Samples per work unit of sample_dyadic_level_maxima: one sampled block that
+# one thread lifts and reduces (dyadic_level_maxima chunks it further).
+_SAMPLE_BLOCK = 256
+
+
 def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_seed: int,
                                n_steps: int = 1024, variant: str = DEFAULT_NORM_VARIANT,
-                               block: int = 256, threads: int = 1,
+                               threads: int = 1,
                                centre: np.ndarray | None = None) -> DyadicNormEnsemble:
     """Simulate lifted paths and record per-level dyadic norm maxima.
 
@@ -327,14 +328,14 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     centred = None if centre is None else np.empty((n_samples, levels + 1))
 
     def one_block(start: int) -> None:
-        stop = min(start + block, n_samples)
+        stop = min(start + _SAMPLE_BLOCK, n_samples)
         values = sample_path_block(plan, master_seed, start, stop)
         rough[start:stop], pathm[start:stop], cmax = dyadic_level_maxima(
             values, variant, centre=centre)
         if centred is not None:
             centred[start:stop] = cmax
 
-    starts = range(0, n_samples, block)
+    starts = range(0, n_samples, _SAMPLE_BLOCK)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -355,24 +356,34 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     )
 
 
+def _sample_pair_norms(model: CovarianceModel, n_samples: int, master_seed: int,
+                       times: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
+                       variant: str, reduce) -> np.ndarray:
+    """Simulate paths one kernel chunk at a time and reduce each path's
+    homogeneous norms over the pair family (i_idx, j_idx), a (chunk, K)
+    array, to one value per path."""
+    v = _resolve_variant(variant)
+    plan = SamplerPlan(model, times)
+    d = model.dim
+    out = np.empty(n_samples)
+    for lo, hi in _chunk_bounds(n_samples, len(i_idx) * (d + d * d)):
+        values = sample_path_block(plan, master_seed, lo, hi)
+        b, c = _gathered_increments(*_component_prefix(values), i_idx, j_idx)
+        out[lo:hi] = reduce(_component_norms(b, c, v)[0])
+    return out
+
+
 def sample_allpairs_norms(model: CovarianceModel, alpha: float, n_samples: int,
                           master_seed: int, n_steps: int = 256,
                           variant: str = DEFAULT_NORM_VARIANT) -> np.ndarray:
     """All-pairs rough Hölder norms (grid-bias bracket for the dyadic family)."""
     if n_steps > 512:
         raise ValueError("all-pairs norms are supported at n_steps <= 512")
-    v = _resolve_variant(variant)
     times = np.linspace(0.0, model.horizon, n_steps + 1)
-    plan = SamplerPlan(model, times)
     i_idx, j_idx = all_pair_indices(n_steps + 1)
     span = (times[j_idx] - times[i_idx]) ** alpha
-    d = model.dim
-    out = np.empty(n_samples)
-    for lo, hi in _chunk_bounds(n_samples, len(i_idx) * (d + d * d)):
-        values = sample_path_block(plan, master_seed, lo, hi)
-        b, c = _gathered_increments(*_component_prefix(values), i_idx, j_idx)
-        out[lo:hi] = (_component_norms(b, c, v)[0] / span).max(axis=-1)
-    return out
+    return _sample_pair_norms(model, n_samples, master_seed, times, i_idx, j_idx, variant,
+                              lambda norms: (norms / span).max(axis=-1))
 
 
 def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: int,
@@ -383,20 +394,16 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
 
     The bound dominates the dyadic norm pathwise, so its curve sits below the
     dyadic curve.  bound_scale is the truncation scale (default 4 grid steps).
+    Each value equals paths.dyadic_holder_bound(...).value of the sample's lift.
     """
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     if bound_scale is None:
         bound_scale = 4.0 * model.horizon / n_steps
-    plan = SamplerPlan(model, times)
-    out = np.empty(n_samples)
-    block = 256
-    for start in range(0, n_samples, block):
-        stop = min(start + block, n_samples)
-        B, C = batch_prefix(sample_path_block(plan, master_seed, start, stop))
-        for k in range(stop - start):
-            x = GridRoughPath(times, B[k], C[k])
-            out[start + k] = dyadic_holder_bound(x, alpha, bound_scale, variant=variant).value
-    return out
+    e = _lemma_depths(times, alpha, bound_scale)[1]
+    return _sample_pair_norms(model, n_samples, master_seed, times,
+                              *_dyadic_pairs(n_steps)[:2], variant,
+                              lambda norms: np.maximum(*_lemma_terms(norms, alpha,
+                                                                     bound_scale, e)))
 
 
 def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:

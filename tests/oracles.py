@@ -7,12 +7,14 @@ adaptive quadrature instead of sampling, and the Gaussian ball oracle
 integrates densities directly rather than going through incomplete-gamma
 shortcuts.  Slow is fine here; these only run on tiny instances.
 
-Four references pin the vectorised routes bit for bit: the per-sample,
-per-component loop of the exact samplers, and the sample-major routes (gathered
-pair increments, then batched homogeneous norms) to dyadic norm maxima, to
-all-pairs norms, and, level by level, to dyadic distance matrices between
-lifted sets.  They keep the arithmetic of the loops they replaced, so
-np.array_equal against them is the right test.
+The other references pin the vectorised routes bit for bit: the
+per-sample, per-component loop of the exact samplers, and the sample-major
+routes (gathered pair increments, then batched homogeneous norms) to dyadic
+norm maxima, to all-pairs norms, level by level to dyadic distance matrices
+between lifted sets, to the single-path Hoelder distance and geometric
+defect, and level by level, path by path to the dyadic discretisation bound.
+They keep the arithmetic of the loops they replaced, so np.array_equal
+against them is the right test.
 """
 
 from __future__ import annotations
@@ -317,3 +319,80 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
             lvl = batch_homogeneous_norm(b, c, variant).max(axis=-1) / scale
             np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
     return out
+
+
+def dyadic_pair_indices_loop(n_steps):
+    """Adjacent dyadic pairs of a 2^L-step grid, level by level, coarsest first."""
+    pairs = [(m * s, (m + 1) * s) for s in (n_steps >> l for l in range(n_steps.bit_length()))
+             for m in range(n_steps // s)]
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
+
+
+def holder_distance_sample_major(x, y, alpha, pair_set="all", variant="sum"):
+    """Hoelder distance between two grid rough paths from sample-major (K, d)
+    and (K, d, d) stacks of every pair's increments and their group difference."""
+    from roughball.algebra import batch_homogeneous_norm
+    from roughball.paths import difference_increments, pair_increments
+
+    n_points = len(x.times)
+    if pair_set == "all":
+        i_idx, j_idx = np.triu_indices(n_points, k=1)
+    else:
+        i_idx, j_idx = dyadic_pair_indices_loop(n_points - 1)
+    bx, cx = pair_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
+    by, cy = pair_increments(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
+    norms = batch_homogeneous_norm(*difference_increments(bx, cx, by, cy), variant)
+    return float((norms / (x.times[j_idx] - x.times[i_idx]) ** alpha).max())
+
+
+def geometric_defect_sample_major(x):
+    """Largest sup-norm gap between Sym(level 2) and half the squared level 1
+    over every grid pair, from sample-major increments."""
+    from roughball.paths import pair_increments
+
+    i_idx, j_idx = np.triu_indices(len(x.times), k=1)
+    b, c = pair_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
+    gap = 0.5 * (c + np.swapaxes(c, -1, -2)) - 0.5 * b[..., :, None] * b[..., None, :]
+    return float(np.abs(gap).max())
+
+
+def dyadic_holder_bound_loop(B, C, times, alpha, eps, variant="sum"):
+    """(value, coarse, fine) of the dyadic Hoelder majorant of one path with
+    prefix arrays (N+1, d) and (N+1, d, d): level norms from stride slices and
+    batch_homogeneous_norm, then the coarse and windowed fine terms level by
+    level, as paths.dyadic_holder_bound did before the component-major kernel."""
+    from roughball.algebra import batch_homogeneous_norm
+    from roughball.paths import pair_increments
+
+    n_steps = len(times) - 1
+    L = n_steps.bit_length() - 1
+    e = int(round(np.log2((times[-1] - times[0]) / eps)))
+    level_norms = []
+    for level in range(L + 1):
+        stride = n_steps >> level
+        b, c = pair_increments(B, C, slice(0, n_steps, stride), slice(stride, None, stride))
+        level_norms.append(batch_homogeneous_norm(b, c, variant))
+    level_sups = np.array([ln.max() for ln in level_norms])
+    coarse = 2.0 * level_sups[1:].sum() / eps**alpha
+    fine = 0.0
+    for j in range(0, L - e):
+        i_max = (2**j) * (2**e - 1)
+        window_sums = np.zeros(i_max + 1)
+        for level in range(j + 1, L - e + 1):
+            w = 2 ** (level - j)
+            window_sums += level_norms[e + level][:(i_max + 1) * w].reshape(-1, w).max(axis=1)
+        denom = eps**alpha * 2.0 ** (-alpha * (j + 1))
+        fine = max(fine, 3.0 * float(window_sums.max()) / denom)
+    return float(max(coarse, fine)), float(coarse), float(fine)
+
+
+def lemma_bound_norms_per_path(model, alpha, n, seed, n_steps, variant="sum"):
+    """Lemma-bound values of n sampled paths, one path at a time, at the
+    default truncation scale of four grid steps."""
+    from roughball.gaussian import SamplerPlan, sample_path_block
+
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    B, C = prefix_sample_major(sample_path_block(SamplerPlan(model, times), seed, 0, n))
+    eps = 4.0 * model.horizon / n_steps
+    return np.array([dyadic_holder_bound_loop(B[k], C[k], times, alpha, eps, variant)[0]
+                     for k in range(n)])

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import dyadic_level_maxima_loop, level2_integrals_dense, prefix_sample_major
+from oracles import (
+    dyadic_holder_bound_loop,
+    dyadic_level_maxima_loop,
+    geometric_defect_sample_major,
+    holder_distance_sample_major,
+    level2_integrals_dense,
+    prefix_sample_major,
+)
 from roughball import (
     CMPath,
     chen_defect,
@@ -92,6 +99,39 @@ def test_discretisation_bound_dominates_all_pairs(rng):
         bound = dyadic_holder_bound(x, alpha, eps=0.5)
         assert bound.value >= holder_norm(x, alpha, pair_set="all") - 1e-12
         assert bound.coarse_term >= 0 and bound.fine_term >= 0
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_object_metrics_match_sample_major_route(rng, variant, dim):
+    # at N=512 the all-pairs family spans many kernel chunks
+    for n_points in (65, 513):
+        x = _random_lift(rng, n_points, dim)
+        y = _random_lift(rng, n_points, dim)
+        zero = trivial_rough_path(x.times, dim)
+        for pair_set in ("all", "dyadic"):
+            assert holder_distance(x, y, 0.4, pair_set, variant) == \
+                holder_distance_sample_major(x, y, 0.4, pair_set, variant)
+            assert holder_norm(x, 0.4, pair_set, variant) == \
+                holder_distance_sample_major(x, zero, 0.4, pair_set, variant)
+        assert geometric_defect(x) == geometric_defect_sample_major(x)
+        for eps in (0.5, 0.125, 2.0 / (n_points - 1)):
+            bound = dyadic_holder_bound(x, 0.4, eps, variant)
+            assert (bound.value, bound.coarse_term, bound.fine_term) == dyadic_holder_bound_loop(
+                x.prefix_level1, x.prefix_level2, x.times, 0.4, eps, variant)
+
+
+def test_discretisation_bound_rejects_bad_input(rng):
+    x = _random_lift(rng, n_points=65)
+    with pytest.raises(ValueError, match="eps must equal"):
+        dyadic_holder_bound(x, 0.4, eps=0.3)
+    with pytest.raises(ValueError, match="alpha"):
+        dyadic_holder_bound(x, 1.5, eps=0.5)
+    with pytest.raises(ValueError, match="2\\^L steps"):
+        dyadic_holder_bound(_random_lift(rng, n_points=49), 0.4, eps=0.5)
+    bent = np.linspace(0.0, 1.0, 65) ** 2
+    with pytest.raises(ValueError, match="uniform grid"):
+        dyadic_holder_bound(lift_piecewise_linear(CMPath(bent, np.zeros((65, 2)))), 0.4, 0.5)
 
 
 def _random_values(rng, n_paths, n_steps, dim):

@@ -97,6 +97,25 @@ def test_lifted_set_requires_power_of_two_steps():
         LiftedSet.from_values(times, vals)
 
 
+def test_lifted_set_checks_prefix_shapes_against_grid():
+    good = _brownian_set(3, 4, n_steps=8, dim=2)
+    with pytest.raises(ValueError, match="grid of 5 points"):
+        LiftedSet(np.linspace(0.0, 1.0, 5), good.B, good.C)  # 9-point prefixes
+    with pytest.raises(ValueError, match="prefix arrays"):
+        LiftedSet(good.times, good.B, good.C[..., :1])  # level 2 not (m, N+1, d, d)
+    with pytest.raises(ValueError, match="prefix arrays"):
+        LiftedSet(good.times, good.B, good.C[:2])  # one level-2 prefix short
+    with pytest.raises(ValueError, match="prefix arrays"):
+        LiftedSet(good.times, good.B[0], good.C[0])
+
+
+def test_pairwise_rejects_dimension_mismatch():
+    xs = _brownian_set(3, 1, n_steps=16, dim=1)
+    ys = _brownian_set(4, 2, n_steps=16, dim=2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pairwise_distance(xs, ys, alpha=0.4)
+
+
 # ------------------------------------------------------------------- covering
 
 

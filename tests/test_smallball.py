@@ -7,6 +7,7 @@ from oracles import (
     allpairs_norms_sample_major,
     dyadic_level_maxima_loop,
     gaussian_ball_probability,
+    lemma_bound_norms_per_path,
 )
 from roughball import (
     brownian_model,
@@ -21,6 +22,7 @@ from roughball import (
     wilson_interval,
 )
 from roughball.gaussian import SamplerPlan, sample_path_block
+from roughball.paths import dyadic_level_maxima
 from roughball.smallball import (
     curve_from_norms,
     sample_allpairs_norms,
@@ -104,13 +106,15 @@ def test_curve_from_norms_is_empirical_cdf():
 
 
 def test_dyadic_sampler_threads_and_blocks_are_invisible():
+    # 600 samples span three sampling blocks of 256; one block draw is the reference
     m = brownian_model(dim=2)
-    base = sample_dyadic_level_maxima(m, 24, 9, n_steps=128, block=8)
-    threaded = sample_dyadic_level_maxima(m, 24, 9, n_steps=128, block=8, threads=4)
-    reblocked = sample_dyadic_level_maxima(m, 24, 9, n_steps=128, block=32)
-    assert np.array_equal(base.rough_level_max, threaded.rough_level_max)
-    assert np.array_equal(base.path_level_max, threaded.path_level_max)
-    assert np.array_equal(base.rough_level_max, reblocked.rough_level_max)
+    base = sample_dyadic_level_maxima(m, 600, 9, n_steps=16)
+    threaded = sample_dyadic_level_maxima(m, 600, 9, n_steps=16, threads=3)
+    times = np.linspace(0.0, m.horizon, 17)
+    rough, path, _ = dyadic_level_maxima(sample_path_block(SamplerPlan(m, times), 9, 0, 600))
+    for ens in (base, threaded):
+        assert np.array_equal(ens.rough_level_max, rough)
+        assert np.array_equal(ens.path_level_max, path)
 
 
 @pytest.mark.parametrize("variant", ["sum", "sup"])
@@ -129,8 +133,7 @@ def test_centred_ensemble_matches_level_loop(variant):
     m = brownian_model(dim=2)
     times = np.linspace(0.0, 1.0, 65)
     centre = np.stack([times, np.sin(3.0 * times)], axis=1)
-    ens = sample_dyadic_level_maxima(m, 40, 5, n_steps=64, variant=variant, block=16,
-                                     centre=centre)
+    ens = sample_dyadic_level_maxima(m, 40, 5, n_steps=64, variant=variant, centre=centre)
     ref = dyadic_level_maxima_loop(sample_path_block(SamplerPlan(m, times), 5, 0, 40),
                                    variant, centre=centre)
     for got, want in zip((ens.rough_level_max, ens.path_level_max, ens.centred_level_max),
@@ -143,6 +146,25 @@ def test_centred_ensemble_matches_level_loop(variant):
     assert np.array_equal(plain.rough_level_max, ens.rough_level_max)
     with pytest.raises(ValueError, match="without a centre"):
         plain.centred_norms(0.4)
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_lemma_bound_sampler_matches_per_path_route(variant, dim):
+    # at d=8, N=512 one path's (2N-1)(d + d^2) floats outgrow a kernel chunk
+    m = fbm_model(0.4, dim=dim)
+    for n_steps, n in ((64, 300), (512, 12)):
+        got = sample_lemma_bound_norms(m, 0.4, n, 6, n_steps=n_steps, variant=variant)
+        assert np.array_equal(got, lemma_bound_norms_per_path(m, 0.4, n, 6, n_steps, variant))
+
+
+def test_lemma_bound_sampler_checks_scale_once():
+    m = brownian_model()
+    with pytest.raises(ValueError, match="eps must equal"):
+        sample_lemma_bound_norms(m, 0.4, 0, 1, n_steps=64, bound_scale=0.3)
+    with pytest.raises(ValueError, match="2\\^L steps"):
+        sample_lemma_bound_norms(m, 0.4, 4, 1, n_steps=48)
+    assert sample_lemma_bound_norms(m, 0.4, 0, 1, n_steps=64).shape == (0,)
 
 
 def test_norm_route_orderings_per_sample():

@@ -7,6 +7,9 @@ margin is negative but within four standard errors, and "violated" (never
 expected for a true inequality) means the gap survives the noise test.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from roughball.gaussian import brownian_model
@@ -16,9 +19,9 @@ from roughball.inequalities import (
     check_borell_shift,
     check_cameron_martin,
     check_sidak,
-    reports_csv_text,
 )
 from roughball.paths import CMPath
+from roughball.runner import run
 
 model = brownian_model(dim=1)
 times = np.linspace(0.0, 1.0, 257)
@@ -38,6 +41,21 @@ for r in reports:
     se = "exact" if r.margin_se is None else f"se {r.margin_se:.2e}"
     print(f"{r.name:18s} {r.verdict:20s} margin {r.margin:+.3e}  ({se})")
 
-print()
-print("same reports as the CSV artifact written by the experiment runner:")
-print(reports_csv_text(reports, config_hash="demo"))
+# The runner writes every artifact; an inequalities config names its checks.
+config = {
+    "experiment": "inequalities",
+    "model": {"kind": "brownian", "d": 1},
+    "grid": {"T": 1.0, "N": 256},
+    "seed": 2,
+    "checks": [
+        {"name": "sidak", "cov": [[1.0, 0.6], [0.6, 1.0]], "thresholds": [1.0, 1.5]},
+        {"name": "borell_shift", "set": ["half_space", 0.0], "lam": 1.0},
+        {"name": "canary_violation", "n": 50000},
+    ],
+}
+with tempfile.TemporaryDirectory() as out:
+    run(config, out_dir=out)
+    print()
+    print("reports.csv as written by the experiment runner:")
+    with open(os.path.join(out, "reports.csv"), encoding="utf-8") as fh:
+        print(fh.read())

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .gaussian import CovarianceModel, brownian_model, custom_model, fbm_model
+from .smallball import _check_alpha
 
 EXPERIMENTS = ("sbp", "entropy", "quantize", "empirical", "inequalities", "audit")
 
@@ -59,17 +60,19 @@ class ExperimentConfig:
         return isinstance(other, ExperimentConfig) and self.data == other.data
 
     def model(self) -> CovarianceModel:
-        spec = self.data["model"]
-        horizon = self.data["grid"]["T"]
-        if spec["kind"] == "brownian":
-            return brownian_model(spec["d"], horizon)
-        if spec["kind"] == "fbm":
-            return fbm_model(spec["hurst"], spec["d"], horizon)
-        table = spec["sigma2_table"]
-        return custom_model(
-            [row[0] for row in table], [row[1] for row in table],
-            spec["rho"], spec["d"], horizon,
-        )
+        return _build_model(self.data["model"], self.data["grid"]["T"])
+
+
+def _build_model(spec: dict, horizon: float) -> CovarianceModel:
+    if spec["kind"] == "brownian":
+        return brownian_model(spec["d"], horizon)
+    if spec["kind"] == "fbm":
+        return fbm_model(spec["hurst"], spec["d"], horizon)
+    table = spec["sigma2_table"]
+    return custom_model(
+        [row[0] for row in table], [row[1] for row in table],
+        spec["rho"], spec["d"], horizon,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +138,25 @@ def _validate_model(spec, where="model") -> dict:
     allowed = {"kind", "d"}
     if kind == "fbm":
         allowed.add("hurst")
-        out["hurst"] = _num(_req(spec, "hurst", where), f"{where}.hurst",
-                            float, 1.0 / 3.0, 0.5, low_open=True)
+        out["hurst"] = _num(_req(spec, "hurst", where), f"{where}.hurst", float)
     elif kind == "custom_sigma2":
         allowed |= {"sigma2_table", "rho"}
         table = _req(spec, "sigma2_table", where)
-        if (not isinstance(table, list) or len(table) < 3
+        if (not isinstance(table, list)
                 or any(not isinstance(r, list) or len(r) != 2 for r in table)):
             raise ConfigError(f"{where}.sigma2_table: expected a list of [tau, sigma2] pairs")
         out["sigma2_table"] = [[float(a), float(b)] for a, b in table]
-        out["rho"] = _num(_req(spec, "rho", where), f"{where}.rho", float, 1.0, 1.5,
-                          high_open=True)
+        out["rho"] = _num(_req(spec, "rho", where), f"{where}.rho", float)
     _no_extras(spec, allowed, where)
     return out
 
 
-def _rho_of(model_spec: dict) -> float:
-    if model_spec["kind"] == "brownian":
-        return 1.0
-    if model_spec["kind"] == "fbm":
-        return 1.0 / (2.0 * model_spec["hurst"])
-    return model_spec["rho"]
-
-
-def _validate_alpha(alpha, model_spec: dict, norm_kind: str = "rough_holder_dyadic"):
+def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic"):
     a = _num(alpha, "alpha", float)
-    if norm_kind == "path_holder":
-        if not (0.0 < a <= 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1] for path norms, got {alpha}")
-        return a
-    upper = 1.0 / (2.0 * _rho_of(model_spec))
-    if not (1.0 / 3.0 < a < upper):
-        raise ConfigError(f"alpha must lie in (1/3, {upper:g})")
+    try:
+        _check_alpha(model, a, norm_kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return a
 
 
@@ -174,15 +164,13 @@ def _validate_alpha(alpha, model_spec: dict, norm_kind: str = "rough_holder_dyad
 # Per-experiment sections
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = ("experiment", "model", "grid", "seed", "out", "variant", "threads",
-                "config_hash")
+_COMMON_KEYS = ("experiment", "model", "grid", "seed", "out", "variant", "config_hash")
 
 _DEFAULT_EPS = {"min": 0.25, "max": 4.0, "count": 17}
 
 
-def _resolve_common(raw: dict) -> dict:
+def _resolve_common(raw: dict) -> tuple[dict, CovarianceModel]:
     exp = _choice(_req(raw, "experiment", "config"), "experiment", EXPERIMENTS)
-    model = _validate_model(_req(raw, "model", "config"))
     grid = raw.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected an object")
@@ -191,27 +179,30 @@ def _resolve_common(raw: dict) -> dict:
     N = _num(grid.get("N", 1024), "grid.N", int, 2)
     if N & (N - 1):
         raise ConfigError(f"grid.N: must be a power of two, got {N}")
+    spec = _validate_model(_req(raw, "model", "config"))
+    try:  # the model checks its own parameter ranges
+        model = _build_model(spec, T)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     out = {
         "experiment": exp,
-        "model": model,
+        "model": spec,
         "grid": {"T": T, "N": int(N)},
         "seed": _num(raw.get("seed", 0), "seed", int, 0),
         "out": str(raw.get("out", "out")),
         "variant": _choice(raw.get("variant", "sum"), "variant", ("sum", "sup")),
     }
-    if raw.get("threads") is not None:
-        out["threads"] = _num(raw["threads"], "threads", int, 1)
-    return out
+    return out, model
 
 
-def _resolve_sbp(raw: dict, common: dict) -> dict:
+def _resolve_sbp(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "norm_kind", "n_samples", "eps",
                                     "fit_window"), "config")
     norm_kind = _choice(raw.get("norm_kind", "rough_holder_dyadic"), "norm_kind",
                         ("path_holder", "rough_holder_allpairs", "rough_holder_dyadic",
                          "rough_holder_lemma_bound"))
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), common["model"], norm_kind)
+    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model, norm_kind)
     out["norm_kind"] = norm_kind
     out["n_samples"] = _num(raw.get("n_samples", 100000), "n_samples", int, 1, low_open=False)
     out["eps"] = _eps_list(raw.get("eps", dict(_DEFAULT_EPS)), "eps")
@@ -225,11 +216,11 @@ def _resolve_sbp(raw: dict, common: dict) -> dict:
     return out
 
 
-def _resolve_entropy(raw: dict, common: dict) -> dict:
+def _resolve_entropy(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "eta", "eps", "n_samples", "mesh",
                                     "cover_eps"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), common["model"])
+    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
     out["eta"] = _num(raw.get("eta", 1.0), "eta", float, 0)
     out["eps"] = _eps_list(raw.get("eps", {"min": 0.4, "max": 1.6, "count": 7}), "eps")
     out["n_samples"] = _num(raw.get("n_samples", 20000), "n_samples", int, 1)
@@ -247,12 +238,12 @@ def _resolve_entropy(raw: dict, common: dict) -> dict:
     return out
 
 
-def _resolve_quantize(raw: dict, common: dict) -> dict:
+def _resolve_quantize(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "r", "n_centers", "n_train", "n_fresh",
                                     "eps", "curve_samples", "mode", "tol",
                                     "max_iter"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), common["model"])
+    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
     out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
     centers = raw.get("n_centers", [4, 16, 64])
     if not isinstance(centers, list) or not centers:
@@ -271,11 +262,11 @@ def _resolve_quantize(raw: dict, common: dict) -> dict:
     return out
 
 
-def _resolve_empirical(raw: dict, common: dict) -> dict:
+def _resolve_empirical(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "r", "n_list", "reps", "m_weights",
                                     "test_size", "bootstrap"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), common["model"])
+    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
     out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
     n_list = raw.get("n_list", [8, 16, 32, 64, 128])
     if not isinstance(n_list, list) or not n_list:
@@ -288,7 +279,7 @@ def _resolve_empirical(raw: dict, common: dict) -> dict:
     return out
 
 
-def _resolve_inequalities(raw: dict, common: dict) -> dict:
+def _resolve_inequalities(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("checks",), "config")
     checks = raw.get("checks")
     if checks is None:
@@ -308,14 +299,14 @@ def _resolve_inequalities(raw: dict, common: dict) -> dict:
         entry = dict(chk)
         entry["name"] = name
         if "alpha" in entry:
-            entry["alpha"] = _validate_alpha(entry["alpha"], common["model"])
+            entry["alpha"] = _validate_alpha(entry["alpha"], model)
         resolved.append(entry)
     out = dict(common)
     out["checks"] = resolved
     return out
 
 
-def _resolve_audit(raw: dict, common: dict) -> dict:
+def _resolve_audit(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("h_window", "mesh_levels", "n_dump"), "config")
     out = dict(common)
     out["h_window"] = _num(raw.get("h_window", 0.5), "h_window", float, 0, low_open=True)
@@ -356,8 +347,8 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     raw = {k: v for k, v in raw.items() if k != "config_hash"}
-    common = _resolve_common(raw)
-    resolved = _RESOLVERS[common["experiment"]](raw, common)
+    common, model = _resolve_common(raw)
+    resolved = _RESOLVERS[common["experiment"]](raw, common, model)
     return ExperimentConfig(resolved)
 
 

@@ -6,12 +6,13 @@ standard errors.  Verdicts: 'holds' (nonnegative margin), 'holds_within_noise'
 (negative but within 4 pooled SEs), 'violated' (beyond 4 SEs), and
 'inconclusive' (the data cannot resolve the claim, e.g. both probabilities at
 the Monte-Carlo resolution floor, or a one-sided estimator with known slack).
+
+Reports are data objects with a ``to_dict`` form; the runner formats and
+writes the report artifacts.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +27,9 @@ from .gaussian import (
     sample_rng,
 )
 from .paths import CMPath, dyadic_level_maxima
-from .smallball import sample_dyadic_level_maxima, wilson_interval
+from .smallball import _SAMPLE_BLOCK, sample_dyadic_level_maxima, wilson_interval
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
-
-REPORT_COLUMNS = (
-    "name", "verdict", "lhs", "lhs_ci_low", "lhs_ci_high",
-    "rhs", "rhs_ci_low", "rhs_ci_high", "margin", "margin_se", "seed",
-)
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -70,26 +65,6 @@ class InequalityReport:
             "notes": list(self.notes),
             "extras": self.extras,
         }
-
-    def to_csv_row(self) -> list:
-        return [
-            self.name, self.verdict, repr(float(self.lhs)), repr(float(self.lhs_ci[0])),
-            repr(float(self.lhs_ci[1])), repr(float(self.rhs)), repr(float(self.rhs_ci[0])),
-            repr(float(self.rhs_ci[1])), repr(float(self.margin)),
-            "" if self.margin_se is None else repr(float(self.margin_se)),
-            self.config.get("seed", ""),
-        ]
-
-
-def reports_csv_text(reports, config_hash: str | None = None) -> str:
-    buf = io.StringIO()
-    if config_hash is not None:
-        buf.write(f"# config_hash={config_hash}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for rep in reports:
-        writer.writerow(rep.to_csv_row())
-    return buf.getvalue()
 
 
 def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> str:
@@ -536,9 +511,8 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
 
     in_a = np.empty(n, dtype=bool)
     enlarged = np.zeros(n, dtype=bool)
-    block = 256
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, n)
         values = sample_path_block(plan, seed, start, stop)
         hit = np.zeros(stop - start, dtype=bool)
         for m, h_vals in enumerate(meshes):

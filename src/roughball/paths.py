@@ -32,11 +32,13 @@ them as bit-identity references and the benchmark tracer rebinds them by name.
 The kernel repeats their arithmetic operation for operation, including
 numpy's summation order over the d and d x d terms, so both routes give
 bit-identical norms.
+
+This module does no file I/O.  GridRoughPath.to_dict/from_dict give the JSON
+form that the runner writes into codebook artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,25 +85,6 @@ class CMPath:
     @property
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CMPath":
-        return cls(np.asarray(d["times"], dtype=float), np.asarray(d["values"], dtype=float))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "CMPath":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 class GridRoughPath:
@@ -198,15 +181,6 @@ class GridRoughPath:
         times = np.asarray(payload["times"], dtype=float)
         steps = [G2Element.from_flat(row) for row in payload["steps"]]
         return cls.from_steps(times, steps)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "GridRoughPath":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

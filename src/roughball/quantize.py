@@ -221,19 +221,16 @@ class CoverResult:
         return mesh.lifted.subset(self.center_indices)
 
 
-def _greedy_order(mesh: LiftedSet, alpha: float, variant: str,
-                  max_centers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_order(mesh: LiftedSet, alpha: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-point ordering.  radii[k] is the cover radius using the first
     k+1 centers, so the ordering serves every target radius at once."""
     m = mesh.size
-    if max_centers is None:
-        max_centers = m
-    order = np.empty(max_centers, dtype=np.intp)
-    radii = np.empty(max_centers)
+    order = np.empty(m, dtype=np.intp)
+    radii = np.empty(m)
     order[0] = 0
     dist = pairwise_distance(mesh.subset([0]), mesh, alpha, variant)[0]
     radii[0] = float(dist.max())
-    for k in range(1, max_centers):
+    for k in range(1, m):
         nxt = int(np.argmax(dist))
         order[k] = nxt
         new = pairwise_distance(mesh.subset([nxt]), mesh, alpha, variant)[0]
@@ -510,9 +507,8 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
     return LiftedSet(times, B_new, C_new)
 
 
-def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4,
-                   init: str = "kmeanspp", seed: int = 0, max_iter: int = 60,
-                   tol: float = 1e-6, mode: str = "auto",
+def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: int = 0,
+                   max_iter: int = 60, tol: float = 1e-6, mode: str = "auto",
                    variant: str = DEFAULT_NORM_VARIANT) -> Codebook:
     """Lloyd iteration under the Hölder metric.
 
@@ -536,14 +532,7 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4,
     if mode == "medoid" and m > 4096:
         raise ValueError("medoid updates are quadratic per cluster; use <= 4096 samples")
 
-    if init == "kmeanspp":
-        center_idx = _kmeanspp_init(samples, n, r, alpha, variant, seed)
-        centers = samples.subset(center_idx)
-    elif init == "random":
-        rng = np.random.default_rng((seed, 0xC0DE))
-        centers = samples.subset(rng.choice(m, size=n, replace=False))
-    else:
-        raise ValueError(f"init must be 'kmeanspp' or 'random', got {init!r}")
+    centers = samples.subset(_kmeanspp_init(samples, n, r, alpha, variant, seed))
 
     history = []
     prev = np.inf

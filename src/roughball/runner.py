@@ -1,26 +1,30 @@
 """Experiment pipelines: run a resolved config, emit hashed artifacts.
 
-Every pipeline writes its files atomically (temp file in the target
-directory, then rename), embeds the resolved config hash in each artifact
-(``# config_hash=`` comment line in CSVs, a top-level key in JSON), and
-finishes with a manifest listing the sha256 of every written file.  All
-randomness is derived from the config seed through named substreams, and
-worker threads only ever fill disjoint slices, so reruns and different
-``--threads`` settings produce byte-identical bodies.
+This is the one module that formats and writes artifacts; the library hands
+it data objects and their ``to_dict`` forms.  Every pipeline writes its files
+atomically (temp file in the target directory, then rename), embeds the
+resolved config hash in each artifact (``# config_hash=`` comment line in
+CSVs, a top-level key in JSON), and finishes with a manifest listing the
+sha256 of every written file.  All randomness is derived from the config seed
+through named substreams, and worker threads only ever fill disjoint slices,
+so reruns and different ``--threads`` settings produce byte-identical bodies.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import gaussian, inequalities, quantize, smallball
-from .config import ConfigError, ExperimentConfig, echo_config, parse_config
+from .config import ConfigError, _choice, _no_extras, _num, _req, echo_config, parse_config
 
 
 class StrictViolationError(AssertionError):
@@ -77,23 +81,22 @@ def _json_text(payload: dict, cfg_hash: str) -> str:
 
 
 def _csv_text(header, rows, cfg_hash: str) -> str:
-    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The CSV artifact format: a ``# config_hash=`` line, then csv.writer rows.
+
+    Float cells, numpy float64 included, are written as ``repr(float(v))``.
+    """
+    buf = io.StringIO()
+    buf.write(f"# config_hash={cfg_hash}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue()
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def resolve_threads(config: ExperimentConfig, threads: int | None) -> int:
+def resolve_threads(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
-    if "threads" in config.data:
-        return max(1, int(config.data["threads"]))
     env = os.environ.get("ROUGHBALL_THREADS")
     if env:
         try:
@@ -120,12 +123,8 @@ def _run_sbp(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
     try:
         fit = smallball.fit_variation_index(curve, window)
         fit_payload = {
-            "index": fit.index,
-            "window": list(fit.window),
-            "r2": fit.r2,
+            **fit.to_dict(),
             "resolution_floor": curve.resolution_floor,
-            "n_points": fit.n_points,
-            "diagnostics": fit.diagnostics,
             "predicted_index": predicted,
             "note": "fitted and predicted indices are reported side by side, "
                     "not asserted",
@@ -143,8 +142,12 @@ def _run_sbp(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
             "predicted_index": predicted,
             "error": str(exc),
         }
+    rows = [(eps, p, lo, hi, curve.n_samples, curve.norm_kind, curve.alpha, curve.model,
+             curve.seed)
+            for eps, p, lo, hi in zip(curve.eps, curve.p_hat, curve.ci_low, curve.ci_high)]
     return {
-        "curve.csv": curve.to_csv_text(cfg_hash),
+        "curve.csv": _csv_text(("eps", "p_hat", "ci_low", "ci_high", "n", "norm_kind",
+                                "alpha", "model", "seed"), rows, cfg_hash),
         "fit.json": _json_text(fit_payload, cfg_hash),
     }
 
@@ -256,72 +259,112 @@ def _run_empirical(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
 
 def _linear_drift(model, n_steps: int, endpoint):
     """Straight-line drift path to the given endpoint, on the simulation grid."""
-    if endpoint is None:
-        return None
     from .paths import CMPath
 
     times = np.linspace(0.0, model.horizon, n_steps + 1)
-    values = np.outer(times / model.horizon, np.asarray(endpoint, dtype=float))
+    values = np.outer(times / model.horizon, endpoint)
     return CMPath(times, values)
 
 
-def _one_check(model, cfg: dict, entry: dict):
-    params = {k: v for k, v in entry.items() if k != "name"}
+_REQUIRED = object()
+
+_REPORT_COLUMNS = ("name", "verdict", "lhs", "lhs_ci_low", "lhs_ci_high", "rhs",
+                   "rhs_ci_low", "rhs_ci_high", "margin", "margin_se", "seed")
+
+
+def _one_check(model, cfg: dict, entry: dict, where: str):
+    """Resolve one ``checks`` entry into its call, without running it.
+
+    Each branch reads exactly the keys its check takes.  A key no branch
+    reads, a missing required key or an ill-typed value raises ConfigError
+    naming ``checks[i].<key>``.
+    """
+    used = {"name"}
+
+    def get(key, default=_REQUIRED):
+        used.add(key)
+        return _req(entry, key, where) if default is _REQUIRED else entry.get(key, default)
+
+    def num(key, default=_REQUIRED, *bounds, **kw):
+        return _num(get(key, default), f"{where}.{key}", *bounds, **kw)
+
+    def array(key, default, ndim, size=None):
+        try:
+            value = np.asarray(get(key, default))
+        except ValueError:  # ragged nesting
+            value = None
+        if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
+                or (size is not None and value.size != size)):
+            shape = "a matrix" if ndim == 2 else "a list" if size is None else f"a list of {size}"
+            raise ConfigError(f"{where}.{key}: expected {shape} of numbers")
+        return value.astype(float)
+
+    def drift(steps, default):
+        """The ``center`` key: a straight-line drift's endpoint, or null for none."""
+        if get("center", default) is None:
+            return None
+        return _linear_drift(model, steps, array("center", default, 1, size=model.dim))
+
     name = entry["name"]
-    seed = params.pop("seed", cfg["seed"])
-    n_steps = params.pop("n_steps", min(cfg["grid"]["N"], 256))
-    if name == "anderson":
-        alpha = params.pop("alpha")
-        eps = params.pop("eps")
-        h = _linear_drift(model, n_steps, params.pop("center", None))
-        return inequalities.check_anderson(
-            model, alpha, h, eps, n=params.pop("n", 20000), seed=seed,
-            n_steps=n_steps, variant=cfg["variant"], **params)
-    if name == "cameron_martin":
-        alpha = params.pop("alpha")
-        eps = params.pop("eps")
-        endpoint = params.pop("center", [1.0] + [0.0] * (model.dim - 1))
-        h = _linear_drift(model, n_steps, endpoint)
-        return inequalities.check_cameron_martin(
-            model, alpha, h, eps, n=params.pop("n", 20000), seed=seed,
-            n_steps=n_steps, variant=cfg["variant"], **params)
-    if name == "sidak":
-        cov = np.asarray(params.pop("cov", [[1.0, 0.5], [0.5, 1.0]]), dtype=float)
-        thresholds = np.asarray(params.pop("thresholds", [1.0] * cov.shape[0]),
-                                dtype=float)
-        forms = params.pop("forms", None)
+    seed = num("seed", cfg["seed"], int, 0)
+    default_steps = min(cfg["grid"]["N"], 256)
+    if name in ("anderson", "cameron_martin"):
+        steps = num("n_steps", default_steps, int, 2)
+        check = (inequalities.check_anderson if name == "anderson"
+                 else inequalities.check_cameron_martin)
+        default_center = None if name == "anderson" else [1.0] + [0.0] * (model.dim - 1)
+        call = partial(check, model, num("alpha"), drift(steps, default_center),
+                       num("eps", low=0, low_open=True), n=num("n", 20000, int, 1),
+                       seed=seed, n_steps=steps, variant=cfg["variant"])
+    elif name == "sidak":
+        cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
+        forms = get("forms", None)
         if forms is not None:
+            if not (isinstance(forms, list) and all(isinstance(f, list) for f in forms)):
+                raise ConfigError(f"{where}.forms: expected a list of [kind, coefficients, eps]")
             forms = [tuple(f) for f in forms]
-        return inequalities.check_sidak(
-            cov, thresholds, chaos_level=params.pop("chaos_level", 1),
-            method=params.pop("method", "auto"), n=params.pop("n", 200000),
-            seed=seed, forms=forms, **params)
-    if name == "borell_shift":
-        set_spec = params.pop("set", ["half_space", 0.0])
-        return inequalities.check_borell_shift(
-            params.pop("dimension", 1), (set_spec[0], float(set_spec[1])),
-            params.pop("lam", 1.0), n=params.pop("n", 200000), seed=seed, **params)
-    if name == "borell_shift_rough":
-        return inequalities.check_borell_shift_rough(
-            model, params.pop("alpha"), params.pop("eps"), params.pop("lam", 0.5),
-            n=params.pop("n", 4000), seed=seed, n_steps=n_steps,
-            n_directions=params.pop("n_directions", 8), variant=cfg["variant"],
-            **params)
-    if name == "canary_violation":
-        return inequalities.canary_violation(n=params.pop("n", 100000), seed=seed)
-    raise ConfigError(f"checks.name: unknown check {name!r}")
+        call = partial(inequalities.check_sidak, cov,
+                       array("thresholds", [1.0] * cov.shape[0], 1),
+                       chaos_level=num("chaos_level", 1, int, 1, 2),
+                       method=_choice(get("method", "auto"), f"{where}.method",
+                                      ("auto", "quadrature", "mc")),
+                       n=num("n", 200000, int, 1), seed=seed, forms=forms)
+    elif name == "borell_shift":
+        set_spec = get("set", ["half_space", 0.0])
+        if not (isinstance(set_spec, list) and len(set_spec) == 2):
+            raise ConfigError(f"{where}.set: expected [\"half_space\" or \"box\", number]")
+        set_kind = _choice(set_spec[0], f"{where}.set[0]", ("half_space", "box"))
+        call = partial(inequalities.check_borell_shift, num("dimension", 1, int, 1),
+                       (set_kind, _num(set_spec[1], f"{where}.set[1]", float)),
+                       num("lam", 1.0, float, 0), n=num("n", 200000, int, 1), seed=seed)
+    elif name == "borell_shift_rough":
+        call = partial(inequalities.check_borell_shift_rough, model, num("alpha"),
+                       num("eps", low=0, low_open=True), num("lam", 0.5, float, 0),
+                       n=num("n", 4000, int, 1), seed=seed,
+                       n_steps=num("n_steps", default_steps, int, 2),
+                       n_directions=num("n_directions", 8, int, 1), variant=cfg["variant"])
+    elif name == "canary_violation":
+        call = partial(inequalities.canary_violation, n=num("n", 100000, int, 1), seed=seed)
+    else:
+        raise ConfigError(f"{where}.name: unknown check {name!r}")
+    _no_extras(entry, used, where)
+    return call
 
 
 def _run_inequalities(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
-    entries = cfg["checks"]
+    # every entry is resolved before any check runs, so a bad key fails fast
+    calls = [_one_check(model, cfg, entry, f"checks[{i}]")
+             for i, entry in enumerate(cfg["checks"])]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda e: _one_check(model, cfg, e), entries))
+            reports = list(pool.map(lambda call: call(), calls))
     else:
-        reports = [_one_check(model, cfg, e) for e in entries]
+        reports = [call() for call in calls]
+    rows = [(r.name, r.verdict, r.lhs, *r.lhs_ci, r.rhs, *r.rhs_ci, r.margin, r.margin_se,
+             r.config.get("seed", "")) for r in reports]
     payload = {"reports": [r.to_dict() for r in reports]}
     return {
-        "reports.csv": inequalities.reports_csv_text(reports, cfg_hash),
+        "reports.csv": _csv_text(_REPORT_COLUMNS, rows, cfg_hash),
         "reports.json": _json_text(payload, cfg_hash),
     }
 
@@ -371,7 +414,7 @@ def run(config, out_dir: str | None = None, threads: int | None = None,
     config = parse_config(config)
     cfg = config.data
     out = out_dir if out_dir is not None else cfg["out"]
-    n_threads = resolve_threads(config, threads)
+    n_threads = resolve_threads(threads)
     model = config.model()
     cfg_hash = config.hash
 

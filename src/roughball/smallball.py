@@ -8,12 +8,13 @@ norms divided by the sample count, so an entire eps grid costs a single pass.
 The dyadic norm family admits a further trick: on a dyadic grid the pair
 family groups into levels of constant time span, so storing one maximum per
 level per sample lets the same simulation serve every Hölder exponent.
+
+Curves and index fits are data objects with ``to_dict`` forms; the runner
+formats and writes their artifacts.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,22 +191,6 @@ class SBPCurve:
         data = dict(data)
         data["flags"] = tuple(data.get("flags", ()))
         return cls(**data)
-
-    def to_csv_text(self, config_hash: str | None = None) -> str:
-        buf = io.StringIO()
-        if config_hash is not None:
-            buf.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eps", "p_hat", "ci_low", "ci_high", "n",
-                         "norm_kind", "alpha", "model", "seed"])
-        for k in range(self.eps.size):
-            writer.writerow([
-                repr(float(self.eps[k])), repr(float(self.p_hat[k])),
-                repr(float(self.ci_low[k])), repr(float(self.ci_high[k])),
-                self.n_samples, self.norm_kind, repr(float(self.alpha)),
-                self.model, self.seed,
-            ])
-        return buf.getvalue()
 
 
 def curve_from_norms(norms, eps_list, alpha: float, norm_kind: str, model: str,

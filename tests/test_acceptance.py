@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import golden
 from oracles import brute_force_transport, gaussian_ball_probability, lloyd_fixed_point_1d
 from roughball import (
     CMPath,
@@ -426,17 +427,25 @@ def test_criterion_10_empirical_rates(capsys):
 
 
 def test_criterion_11_thread_count_determinism(capsys, tmp_path):
+    recorded = golden.load()
+    skip_golden = golden.version_mismatch(recorded)
     t0 = time.perf_counter()
     mismatched = []
+    off_golden = []
     for name in ALL_CONFIGS:
         stem = name.rsplit(".", 1)[0]
-        m1 = run(f"{CONFIG_DIR}/{name}", out_dir=str(tmp_path / "t1" / stem), threads=1)
+        t1_dir = str(tmp_path / "t1" / stem)
+        m1 = run(f"{CONFIG_DIR}/{name}", out_dir=t1_dir, threads=1)
         m8 = run(f"{CONFIG_DIR}/{name}", out_dir=str(tmp_path / "t8" / stem), threads=8)
         if m1["files"] != m8["files"] or m1["config_hash"] != m8["config_hash"]:
             mismatched.append(name)
+        if not skip_golden and golden.digests(t1_dir) != recorded["runs"][f"configs/{name}"]:
+            off_golden.append(name)
     elapsed = time.perf_counter() - t0
-    ok = not mismatched
-    detail = "identical artifact hashes" if ok else f"hash mismatch in {mismatched}"
+    ok = not mismatched and not off_golden
+    detail = (f"identical artifact hashes; {skip_golden or 'golden digests match'}" if ok
+              else f"hash mismatch in {mismatched}, golden mismatch in {off_golden}")
     _report(capsys, "11", ok,
             f"{len(ALL_CONFIGS)} configs, threads 1 vs 8: {detail}; {elapsed:.0f}s")
     assert mismatched == []
+    assert off_golden == []

@@ -1,5 +1,6 @@
 """Config validation, runner artifacts, determinism, CLI exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from roughball import ConfigError, StrictViolationError, echo_config, parse_config, run
+from roughball import inequalities
 from roughball.cli import main
+from roughball.runner import _csv_text
 
 TINY_SBP = {
     "experiment": "sbp",
@@ -25,6 +28,12 @@ TINY_AUDIT = {
     "model": {"kind": "brownian", "d": 1},
     "grid": {"N": 64},
     "n_dump": 2,
+}
+
+TINY_INEQ = {
+    "experiment": "inequalities",
+    "model": {"kind": "brownian", "d": 1},
+    "grid": {"N": 64},
 }
 
 
@@ -60,6 +69,8 @@ def test_embedded_hash_key_is_ignored():
 def test_unknown_keys_are_named_in_errors():
     with pytest.raises(ConfigError, match="n_sampels"):
         parse_config(dict(TINY_SBP, n_sampels=4))
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(dict(TINY_SBP, threads=4))
 
 
 def test_alpha_window_error_message_exact():
@@ -74,6 +85,22 @@ def test_fbm_hurst_window_enforced():
     assert parse_config(good).data["model"]["hurst"] == 0.45
     with pytest.raises(ConfigError):
         parse_config(dict(TINY_SBP, model={"kind": "fbm", "d": 1, "hurst": 0.25}))
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]],  # three rows
+    [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.5, 0.5]],  # ends before grid.T
+])
+def test_sigma2_table_is_checked_by_the_model_at_parse_time(tmp_path, table):
+    custom = {"kind": "custom_sigma2", "d": 1, "rho": 1.0}
+    good = [[0.0, 0.0], [0.25, 0.25], [0.5, 0.5], [1.0, 1.0]]
+    parse_config(dict(TINY_AUDIT, model=dict(custom, sigma2_table=good)))
+    bad = dict(TINY_AUDIT, model=dict(custom, sigma2_table=table))
+    with pytest.raises(ConfigError, match="^model: "):
+        parse_config(bad)
+    out = tmp_path / "out"
+    assert main(["audit", "--config", _write_cfg(tmp_path, bad), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_grid_must_be_power_of_two():
@@ -142,6 +169,44 @@ def test_strict_mode_raises_after_writing(tmp_path):
         run(cfg, out_dir=out, strict=True)
     assert {"reports.csv", "reports.json", "manifest.json"} <= set(os.listdir(out))
     run(cfg, out_dir=str(tmp_path / "lax"), strict=False)  # no raise without strict
+
+
+def test_fbm_curve_model_field_stays_one_quoted_column(tmp_path):
+    cfg = dict(TINY_SBP, model={"kind": "fbm", "d": 1, "hurst": 0.4}, alpha=0.38)
+    run(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "curve.csv").read_text()
+    rows = list(csv.reader(text.splitlines()[1:]))
+    assert {len(row) for row in rows} == {9}
+    assert rows[0][7] == "model"
+    assert {row[7] for row in rows[1:]} == {"fbm(H=0.4, d=1)"}
+    assert ',"fbm(H=0.4, d=1)",' in text
+
+
+def test_numpy_float_cells_are_written_as_plain_floats():
+    text = _csv_text(("x", "n"), [(np.float64(0.5), np.int64(3)), (0.25, 4)], "h")
+    assert text == "# config_hash=h\nx,n\n0.5,3\n0.25,4\n"
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "nn": 300}, "checks[1].nn"),
+    ({"name": "anderson", "eps": 1.5}, "checks[1].alpha"),
+    ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "n": "many"}, "checks[1].n"),
+    ({"name": "cameron_martin", "alpha": 0.4, "eps": 1.5, "center": [1.0, 0.0]},
+     "checks[1].center"),
+    ({"name": "sidak", "n_steps": 64}, "checks[1].n_steps"),
+    ({"name": "sidak", "cov": [[1.0, 0.0], [0.0]]}, "checks[1].cov"),
+    ({"name": "borell_shift", "set": ["ball", 1.0]}, "checks[1].set[0]"),
+])
+def test_bad_check_entries_exit_two_before_any_check_runs(tmp_path, monkeypatch, capsys,
+                                                         entry, key):
+    ran = []
+    monkeypatch.setattr(inequalities, "canary_violation", lambda **kw: ran.append(kw))
+    cfg = dict(TINY_INEQ, checks=[{"name": "canary_violation", "n": 100}, entry])
+    out = tmp_path / "out"
+    assert main(["inequalities", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
 
 
 def test_audit_run_covers_model_diagnostics(tmp_path):

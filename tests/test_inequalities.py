@@ -12,8 +12,8 @@ from roughball import (
     check_borell_shift_rough,
     check_cameron_martin,
     check_sidak,
+    run,
 )
-from roughball.inequalities import reports_csv_text
 
 OK = ("holds", "holds_within_noise")
 
@@ -102,12 +102,19 @@ def test_canary_reports_violation():
     assert rep.margin < -4 * rep.margin_se  # a real violation, not noise
 
 
-def test_reports_csv_layout():
-    a = check_anderson(brownian_model(), 0.4, None, 1.0, n=500, n_steps=64)
-    k = canary_violation(n=5000)
-    text = reports_csv_text([a, k], config_hash="ff00")
-    lines = text.strip().split("\n")
-    assert lines[0] == "# config_hash=ff00"
+def test_reports_csv_layout(tmp_path):
+    cfg = {
+        "experiment": "inequalities",
+        "model": {"kind": "brownian", "d": 1},
+        "grid": {"N": 64},
+        "checks": [
+            {"name": "anderson", "alpha": 0.4, "eps": 1.0, "n": 500},
+            {"name": "canary_violation", "n": 5000},
+        ],
+    }
+    manifest = run(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "reports.csv").read_text().strip().split("\n")
+    assert lines[0] == f"# config_hash={manifest['config_hash']}"
     assert lines[1].split(",")[0:2] == ["name", "verdict"]
     assert len(lines) == 4
     assert lines[3].startswith("canary_violation,violated,")

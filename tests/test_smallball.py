@@ -18,6 +18,7 @@ from roughball import (
     fit_variation_index,
     predicted_sbp_index,
     rd_gaussian_small_ball,
+    run,
     sample_dyadic_level_maxima,
     wilson_interval,
 )
@@ -197,13 +198,16 @@ def test_rough_probabilities_dominated_by_path_probabilities():
     assert np.all(rough.p_hat <= path.p_hat + 1e-15)
 
 
-def test_curve_roundtrips_through_dict_and_csv():
+def test_curve_roundtrips_through_dict_and_csv(tmp_path):
     m = brownian_model()
     curve = estimate_sbp_curve(m, 0.4, "path_holder", [1.0, 2.0], 200, 5, n_steps=64)
     again = curve.__class__.from_dict(curve.to_dict())
     assert np.array_equal(again.p_hat, curve.p_hat)
-    text = curve.to_csv_text(config_hash="abc123")
-    lines = text.strip().split("\n")
-    assert lines[0] == "# config_hash=abc123"
+    manifest = run({"experiment": "sbp", "model": {"kind": "brownian", "d": 1}, "alpha": 0.4,
+                    "norm_kind": "path_holder", "eps": [1.0, 2.0], "n_samples": 200,
+                    "seed": 5, "grid": {"N": 64}}, out_dir=str(tmp_path))
+    lines = (tmp_path / "curve.csv").read_text().strip().split("\n")
+    assert lines[0] == f"# config_hash={manifest['config_hash']}"
     assert lines[1].startswith("eps,")
     assert len(lines) == 2 + len(curve.eps)
+    assert [float(line.split(",")[1]) for line in lines[2:]] == curve.p_hat.tolist()

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .gaussian import CovarianceModel, brownian_model, custom_model, fbm_model
-from .smallball import _check_alpha
+from .smallball import NORM_KINDS, _check_alpha
 
 EXPERIMENTS = ("sbp", "entropy", "quantize", "empirical", "inequalities", "audit")
 
@@ -145,7 +145,8 @@ def _validate_model(spec, where="model") -> dict:
         if (not isinstance(table, list)
                 or any(not isinstance(r, list) or len(r) != 2 for r in table)):
             raise ConfigError(f"{where}.sigma2_table: expected a list of [tau, sigma2] pairs")
-        out["sigma2_table"] = [[float(a), float(b)] for a, b in table]
+        out["sigma2_table"] = [[_num(v, f"{where}.sigma2_table[{i}][{j}]", float)
+                                for j, v in enumerate(row)] for i, row in enumerate(table)]
         out["rho"] = _num(_req(spec, "rho", where), f"{where}.rho", float)
     _no_extras(spec, allowed, where)
     return out
@@ -198,9 +199,7 @@ def _resolve_common(raw: dict) -> tuple[dict, CovarianceModel]:
 def _resolve_sbp(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "norm_kind", "n_samples", "eps",
                                     "fit_window"), "config")
-    norm_kind = _choice(raw.get("norm_kind", "rough_holder_dyadic"), "norm_kind",
-                        ("path_holder", "rough_holder_allpairs", "rough_holder_dyadic",
-                         "rough_holder_lemma_bound"))
+    norm_kind = _choice(raw.get("norm_kind", "rough_holder_dyadic"), "norm_kind", NORM_KINDS)
     out = dict(common)
     out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model, norm_kind)
     out["norm_kind"] = norm_kind

@@ -7,16 +7,23 @@ standard errors.  Verdicts: 'holds' (nonnegative margin), 'holds_within_noise'
 'inconclusive' (the data cannot resolve the claim, e.g. both probabilities at
 the Monte-Carlo resolution floor, or a one-sided estimator with known slack).
 
+Two builders make every report but the paired ones (anderson,
+cameron_martin): ``_exact_report`` for a claim whose sides are both exact
+(sidak quadrature, the Borell half-space) and ``_proportion_report`` for a
+Monte-Carlo proportion hits / n against an exact right side, with a Wilson
+interval and a binomial standard error unless the check supplies its own.
+Normal probabilities come from ``scipy.special`` (``ndtr``, ``ndtri``).
+
 Reports are data objects with a ``to_dict`` form; the runner formats and
 writes the report artifacts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm as _normal
+from scipy.special import ndtr, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT
 from .gaussian import (
@@ -75,6 +82,34 @@ def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> 
     if margin >= -4.0 * pooled_se:
         return "holds_within_noise"
     return "violated"
+
+
+def _exact_report(name, lhs, rhs, config, notes=(), extras=None) -> InequalityReport:
+    """Report for a claim lhs >= rhs whose two sides are computed exactly."""
+    margin = lhs - rhs
+    return InequalityReport(
+        name=name, lhs=lhs, lhs_ci=(lhs, lhs), rhs=rhs, rhs_ci=(rhs, rhs),
+        margin=margin, margin_se=None, verdict=_verdict(margin, None),
+        config=config, notes=tuple(notes), extras=extras or {},
+    )
+
+
+def _proportion_report(name, hits, n, rhs, config, se=None, notes=(),
+                       extras=None) -> InequalityReport:
+    """Report for a claim P[event] >= rhs with P estimated by hits / n.
+
+    The right side is exact.  se defaults to the binomial standard error,
+    floored away from zero so that a proportion of 0 or 1 is not read as exact.
+    """
+    lhs = hits / n
+    if se is None:
+        se = float(np.sqrt(max(lhs * (1.0 - lhs), 1e-300) / n))
+    margin = lhs - rhs
+    return InequalityReport(
+        name=name, lhs=lhs, lhs_ci=wilson_interval(hits, n), rhs=rhs, rhs_ci=(rhs, rhs),
+        margin=margin, margin_se=se, verdict=_verdict(margin, se),
+        config=config, notes=tuple(notes), extras=extras or {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +265,12 @@ def _gaussian_box_probability(cov: np.ndarray, thresholds: np.ndarray,
 
 
 def _interval_probability(eps: float, sigma: float) -> float:
-    return float(2.0 * _normal.cdf(eps / sigma) - 1.0)
+    return float(2.0 * ndtr(eps / sigma) - 1.0)
+
+
+def _normal_pdf(x):
+    """Standard normal density, evaluated as scipy's ``norm.pdf`` evaluates it."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _sample_gaussian(cov: np.ndarray, n: int, seed: int):
@@ -285,14 +325,8 @@ def _check_sidak_level1(cov, thresholds, method, n, seed) -> InequalityReport:
         if 0 < split < d:
             gci_rhs = (_gaussian_box_probability(cov[:split, :split], thresholds[:split])
                        * _gaussian_box_probability(cov[split:, split:], thresholds[split:]))
-        margin = joint - product
-        return InequalityReport(
-            name="sidak_level1",
-            lhs=joint, lhs_ci=(joint, joint),
-            rhs=product, rhs_ci=(product, product),
-            margin=margin, margin_se=None,
-            verdict=_verdict(margin, None),
-            config={**config, "method": "quadrature"},
+        return _exact_report(
+            "sidak_level1", joint, product, {**config, "method": "quadrature"},
             extras={"two_block_split": {"rhs": gci_rhs, "margin": joint - gci_rhs,
                                         "verdict": _verdict(joint - gci_rhs, None)}},
         )
@@ -301,25 +335,15 @@ def _check_sidak_level1(cov, thresholds, method, n, seed) -> InequalityReport:
     split = int(np.ceil(d / 2))
     hits_b1 = 0
     hits_b2 = 0
-    total = 0
     for x in _sample_gaussian(cov, n, seed):
         inside = np.abs(x) < thresholds
         hits += int(np.all(inside, axis=1).sum())
         hits_b1 += int(np.all(inside[:, :split], axis=1).sum())
         hits_b2 += int(np.all(inside[:, split:], axis=1).sum())
-        total += x.shape[0]
-    joint = hits / total
-    se = float(np.sqrt(max(joint * (1.0 - joint), 1e-300) / total))
-    margin = joint - product
-    gci_rhs = (hits_b1 / total) * (hits_b2 / total)
-    return InequalityReport(
-        name="sidak_level1",
-        lhs=joint, lhs_ci=wilson_interval(hits, total),
-        rhs=product, rhs_ci=(product, product),
-        margin=margin, margin_se=se,
-        verdict=_verdict(margin, se),
-        config={**config, "method": "mc", "n": total},
-        extras={"two_block_split": {"rhs": gci_rhs, "margin": joint - gci_rhs}},
+    gci_rhs = (hits_b1 / n) * (hits_b2 / n)
+    return _proportion_report(
+        "sidak_level1", hits, n, product, {**config, "method": "mc", "n": n},
+        extras={"two_block_split": {"rhs": gci_rhs, "margin": hits / n - gci_rhs}},
     )
 
 
@@ -338,7 +362,9 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
         p = q = 1
         forms = _default_level2_forms(p, q, thresholds)
     else:
-        first = next(f for f in forms if f[0] == "bilinear")
+        first = next((f for f in forms if f[0] == "bilinear"), None)
+        if first is None:
+            raise ValueError("level-2 forms need at least one bilinear form")
         p, q = np.asarray(first[1]).shape
         if p + q != d:
             raise ValueError("stacked covariance size must equal x-dim + y-dim")
@@ -348,7 +374,6 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
     n_events = len(forms)
     hit_each = np.zeros(n_events, dtype=np.int64)
     hit_joint = 0
-    total = 0
     # accumulate cross moments for the influence-function SE
     sums_pair = np.zeros((n_events + 1, n_events + 1))
     for x in _sample_gaussian(cov, n, seed):
@@ -368,35 +393,26 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
         joint = np.all(ind, axis=1)
         hit_each += ind.sum(axis=0)
         hit_joint += int(joint.sum())
-        total += x.shape[0]
         aug = np.concatenate([ind, joint[:, None]], axis=1).astype(float)
         sums_pair += aug.T @ aug
 
-    p_each = hit_each / total
-    p_joint = hit_joint / total
+    p_each = hit_each / n
+    p_joint = hit_joint / n
     product = float(np.prod(p_each))
-    margin = p_joint - product
 
     # influence function of joint - prod_k p_k at one sample
     # phi = (1_joint - p_joint) - sum_k (prod_{j != k} p_j)(1_k - p_k)
     coef = np.array([product / pk if pk > 0 else 0.0 for pk in p_each])
     means = np.concatenate([p_each, [p_joint]])
-    cov_ind = sums_pair / total - np.outer(means, means)
+    cov_ind = sums_pair / n - np.outer(means, means)
     w = np.concatenate([-coef, [1.0]])
     var_phi = float(w @ cov_ind @ w)
-    se = float(np.sqrt(max(var_phi, 0.0) / total))
-
-    return InequalityReport(
-        name="sidak_level2",
-        lhs=p_joint, lhs_ci=wilson_interval(hit_joint, total),
-        rhs=product, rhs_ci=(product, product),
-        margin=margin, margin_se=se,
-        verdict=_verdict(margin, se),
-        config={"chaos_level": 2, "n": total, "seed": seed,
-                "thresholds": np.asarray(thresholds, float).tolist(),
-                "forms": [f[0] for f in forms]},
-        extras={"p_each": p_each.tolist()},
-    )
+    se = float(np.sqrt(max(var_phi, 0.0) / n))
+    config = {"chaos_level": 2, "n": n, "seed": seed,
+              "thresholds": np.asarray(thresholds, float).tolist(),
+              "forms": [f[0] for f in forms]}
+    return _proportion_report("sidak_level2", hit_joint, n, product, config, se=se,
+                              extras={"p_each": p_each.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +436,9 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     config = {"dimension": dimension, "set": kind, "param": param, "lam": lam,
               "n": n, "seed": seed}
     if kind == "half_space":
-        p_a = float(_normal.cdf(param))
-        lhs = float(_normal.cdf(param + lam))
-        rhs = float(_normal.cdf(lam + _normal.ppf(p_a)))
-        margin = lhs - rhs
-        return InequalityReport(
-            name="borell_shift",
-            lhs=lhs, lhs_ci=(lhs, lhs), rhs=rhs, rhs_ci=(rhs, rhs),
-            margin=margin, margin_se=None,
-            verdict=_verdict(margin, None),
-            config=config,
+        p_a = float(ndtr(param))
+        return _exact_report(
+            "borell_shift", float(ndtr(param + lam)), float(ndtr(lam + ndtri(p_a))), config,
             notes=("half-space is the equality case; both sides analytic",),
         )
     if kind != "box":
@@ -438,25 +447,12 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     if r <= 0:
         raise ValueError("box radius must be positive")
     p_a = _interval_probability(r, 1.0) ** dimension
-    rhs = float(_normal.cdf(lam + _normal.ppf(p_a)))
     hits = 0
-    total = 0
     for x in _normal_blocks(n, dimension, seed):
         outside = np.maximum(np.abs(x) - r, 0.0)
         dist = np.sqrt(np.sum(outside**2, axis=1))
         hits += int(np.sum(dist <= lam))
-        total += len(x)
-    lhs = hits / total
-    se = float(np.sqrt(max(lhs * (1.0 - lhs), 1e-300) / total))
-    margin = lhs - rhs
-    return InequalityReport(
-        name="borell_shift",
-        lhs=lhs, lhs_ci=wilson_interval(hits, total),
-        rhs=rhs, rhs_ci=(rhs, rhs),
-        margin=margin, margin_se=se,
-        verdict=_verdict(margin, se),
-        config=config,
-    )
+    return _proportion_report("borell_shift", hits, n, float(ndtr(lam + ndtri(p_a))), config)
 
 
 def _cm_mesh_directions(model: CovarianceModel, times: np.ndarray, lam: float,
@@ -527,36 +523,28 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
         enlarged[start:stop] = hit
 
     p_a = float(in_a.mean())
-    lhs = float(enlarged.mean())
-    k_hits = int(enlarged.sum())
     if p_a in (0.0, 1.0):
         rhs = p_a if lam == 0 else (1.0 if p_a == 1.0 else 0.0)
         deriv = 0.0
     else:
-        q = _normal.ppf(p_a)
-        rhs = float(_normal.cdf(lam + q))
-        deriv = float(_normal.pdf(lam + q) / _normal.pdf(q))
+        q = ndtri(p_a)
+        rhs = float(ndtr(lam + q))
+        deriv = float(_normal_pdf(lam + q) / _normal_pdf(q))
     # pooled SE of lhs - rhs(p_a) via per-sample influence on common samples
     phi = enlarged.astype(float) - deriv * in_a.astype(float)
-    se = float(phi.std(ddof=1) / np.sqrt(n))
-    margin = lhs - rhs
-    verdict = _verdict(margin, se)
-    notes = ["one-sided with mesh slack: finite drift mesh under-counts the enlargement"]
-    if verdict == "violated":
-        verdict = "inconclusive"
-        notes.append("negative margin is attributable to mesh slack, not a violation")
-    return InequalityReport(
-        name="borell_shift_rough",
-        lhs=lhs, lhs_ci=wilson_interval(k_hits, n),
-        rhs=rhs, rhs_ci=(rhs, rhs),
-        margin=margin, margin_se=se,
-        verdict=verdict,
-        config={"model": model.describe(), "alpha": alpha, "eps": eps, "lam": lam,
-                "n": n, "seed": seed, "n_steps": n_steps,
-                "mesh_size": len(meshes), "variant": variant},
-        notes=tuple(notes),
+    config = {"model": model.describe(), "alpha": alpha, "eps": eps, "lam": lam,
+              "n": n, "seed": seed, "n_steps": n_steps,
+              "mesh_size": len(meshes), "variant": variant}
+    report = _proportion_report(
+        "borell_shift_rough", int(enlarged.sum()), n, rhs, config,
+        se=float(phi.std(ddof=1) / np.sqrt(n)),
+        notes=("one-sided with mesh slack: finite drift mesh under-counts the enlargement",),
         extras={"p_a": p_a},
     )
+    if report.verdict != "violated":
+        return report
+    return replace(report, verdict="inconclusive", notes=report.notes + (
+        "negative margin is attributable to mesh slack, not a violation",))
 
 
 def canary_violation(n: int = 100000, seed: int = 0) -> InequalityReport:
@@ -565,21 +553,10 @@ def canary_violation(n: int = 100000, seed: int = 0) -> InequalityReport:
     Exercises the 'violated' verdict path end to end; any consumer treating
     violations as fatal should trip on this check.
     """
-    hits = 0
-    total = 0
-    for x in _normal_blocks(n, 1, seed):
-        hits += int(np.sum(np.abs(x[:, 0]) < 1.0))
-        total += len(x)
-    lhs = hits / total
-    rhs = _interval_probability(2.0, 1.0)
-    se = float(np.sqrt(lhs * (1.0 - lhs) / total))
-    margin = lhs - rhs
-    return InequalityReport(
-        name="canary_violation",
-        lhs=lhs, lhs_ci=wilson_interval(hits, total),
-        rhs=rhs, rhs_ci=(rhs, rhs),
-        margin=margin, margin_se=se,
-        verdict=_verdict(margin, se),
-        config={"n": total, "seed": seed},
+    hits = sum(int(np.sum(np.abs(x[:, 0]) < 1.0)) for x in _normal_blocks(n, 1, seed))
+    p = hits / n
+    return _proportion_report(
+        "canary_violation", hits, n, _interval_probability(2.0, 1.0), {"n": n, "seed": seed},
+        se=float(np.sqrt(p * (1.0 - p) / n)),
         notes=("intentionally false claim; expected verdict: violated",),
     )

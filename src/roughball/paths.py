@@ -169,11 +169,7 @@ class GridRoughPath:
 
     def to_dict(self) -> dict:
         b, c = self.step_arrays()
-        d = self.dim
-        steps = [
-            [float(d)] + [float(v) for v in b[k]] + [float(v) for v in c[k].ravel()]
-            for k in range(b.shape[0])
-        ]
+        steps = [G2Element(b[k], c[k]).to_flat() for k in range(b.shape[0])]
         return {"times": [float(t) for t in self.times], "steps": steps}
 
     @classmethod

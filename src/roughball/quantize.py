@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.stats import norm as _normal
+from scipy.special import ndtr, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import (
@@ -395,7 +395,7 @@ def entropy_bounds_from_sbp(b_hat: SBPCurve | SBPTransform, eta: float, eps: flo
     b_eps = tr.value(eps)
     b_2eps = tr.value(2.0 * eps)
     upper = 0.5 * eta**2 + b_eps
-    lower = float(np.log(_normal.cdf(eta + _normal.ppf(np.exp(-b_eps)))) + b_2eps)
+    lower = float(np.log(ndtr(eta + ndtri(np.exp(-b_eps)))) + b_2eps)
     out = {
         "upper": float(upper),
         "lower": lower,
@@ -489,22 +489,15 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
     symmetric level-2 part is restored to half the outer square of the step's
     level-1 increment while the antisymmetric (area) part of the mean is kept.
     """
-    times = samples.times
-    n_pts, d = samples.B.shape[1], samples.dim
-    B_new = np.zeros((n, n_pts, d))
-    C_new = np.zeros((n, n_pts, d, d))
+    centers = []
     for k in range(n):
         members = assign == k
-        Bm = samples.B[members].mean(axis=0)
-        Cm = samples.C[members].mean(axis=0)
-        b_steps = np.diff(Bm, axis=0)
-        c_steps = Cm[1:] - Cm[:-1] - Bm[:-1, :, None] * b_steps[:, None, :]
-        anti = 0.5 * (c_steps - np.swapaxes(c_steps, -1, -2))
-        c_steps = 0.5 * b_steps[:, :, None] * b_steps[:, None, :] + anti
-        B_new[k, 1:] = np.cumsum(b_steps, axis=0)
-        contrib = c_steps + B_new[k, :-1, :, None] * b_steps[:, None, :]
-        C_new[k, 1:] = np.cumsum(contrib, axis=0)
-    return LiftedSet(times, B_new, C_new)
+        b, c = GridRoughPath(samples.times, samples.B[members].mean(axis=0),
+                             samples.C[members].mean(axis=0)).step_arrays()
+        anti = 0.5 * (c - np.swapaxes(c, -1, -2))
+        c = 0.5 * b[:, :, None] * b[:, None, :] + anti
+        centers.append(GridRoughPath.from_steps(samples.times, (b, c)))
+    return LiftedSet.from_paths(centers)
 
 
 def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: int = 0,

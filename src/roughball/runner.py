@@ -272,6 +272,39 @@ _REPORT_COLUMNS = ("name", "verdict", "lhs", "lhs_ci_low", "lhs_ci_high", "rhs",
                    "rhs_ci_low", "rhs_ci_high", "margin", "margin_se", "seed")
 
 
+def _numeric_array(value, key: str, ndim: int, size=None) -> np.ndarray:
+    """A float array of ndim dimensions (and size entries, if given) or ConfigError."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # ragged nesting
+        value = None
+    if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
+            or (size is not None and value.size != size)):
+        shape = "a matrix" if ndim == 2 else "a list" if size is None else f"a list of {size}"
+        raise ConfigError(f"{key}: expected {shape} of numbers")
+    return value.astype(float)
+
+
+def _sidak_forms(forms, key: str) -> list:
+    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples.
+
+    Coefficients are a matrix for a bilinear form and a vector for a linear
+    one; at least one form must be bilinear, since it fixes the block sizes.
+    """
+    if not isinstance(forms, list):
+        raise ConfigError(f"{key}: expected a list of [kind, coefficients, eps]")
+    out = []
+    for k, form in enumerate(forms):
+        if not (isinstance(form, list) and len(form) == 3):
+            raise ConfigError(f"{key}[{k}]: expected [kind, coefficients, eps]")
+        kind = _choice(form[0], f"{key}[{k}][0]", ("bilinear", "linear_x", "linear_y"))
+        coefficients = _numeric_array(form[1], f"{key}[{k}][1]", 2 if kind == "bilinear" else 1)
+        out.append((kind, coefficients, _num(form[2], f"{key}[{k}][2]", float, 0, low_open=True)))
+    if not any(kind == "bilinear" for kind, _, _ in out):
+        raise ConfigError(f"{key}: needs at least one bilinear form")
+    return out
+
+
 def _one_check(model, cfg: dict, entry: dict, where: str):
     """Resolve one ``checks`` entry into its call, without running it.
 
@@ -289,15 +322,7 @@ def _one_check(model, cfg: dict, entry: dict, where: str):
         return _num(get(key, default), f"{where}.{key}", *bounds, **kw)
 
     def array(key, default, ndim, size=None):
-        try:
-            value = np.asarray(get(key, default))
-        except ValueError:  # ragged nesting
-            value = None
-        if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
-                or (size is not None and value.size != size)):
-            shape = "a matrix" if ndim == 2 else "a list" if size is None else f"a list of {size}"
-            raise ConfigError(f"{where}.{key}: expected {shape} of numbers")
-        return value.astype(float)
+        return _numeric_array(get(key, default), f"{where}.{key}", ndim, size)
 
     def drift(steps, default):
         """The ``center`` key: a straight-line drift's endpoint, or null for none."""
@@ -320,9 +345,7 @@ def _one_check(model, cfg: dict, entry: dict, where: str):
         cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
         forms = get("forms", None)
         if forms is not None:
-            if not (isinstance(forms, list) and all(isinstance(f, list) for f in forms)):
-                raise ConfigError(f"{where}.forms: expected a list of [kind, coefficients, eps]")
-            forms = [tuple(f) for f in forms]
+            forms = _sidak_forms(forms, f"{where}.forms")
         call = partial(inequalities.check_sidak, cov,
                        array("thresholds", [1.0] * cov.shape[0], 1),
                        chaos_level=num("chaos_level", 1, int, 1, 2),

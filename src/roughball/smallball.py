@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, gammainc
-from scipy.stats import norm as _normal
+from scipy.special import erf, gammainc, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
@@ -42,7 +41,7 @@ NORM_KINDS = (
     "rough_holder_lemma_bound",
 )
 
-_Z95 = _normal.ppf(0.975)
+_Z95 = ndtri(0.975)
 
 
 # ---------------------------------------------------------------------------

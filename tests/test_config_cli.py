@@ -103,6 +103,18 @@ def test_sigma2_table_is_checked_by_the_model_at_parse_time(tmp_path, table):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", [None, "0.25", True])
+def test_sigma2_table_cells_must_be_numbers(tmp_path, cell):
+    table = [[0.0, 0.0], [0.25, cell], [0.5, 0.5], [1.0, 1.0]]
+    bad = dict(TINY_AUDIT, model={"kind": "custom_sigma2", "d": 1, "rho": 1.0,
+                                  "sigma2_table": table})
+    with pytest.raises(ConfigError, match=r"^model\.sigma2_table\[1\]\[1\]: expected a number"):
+        parse_config(bad)
+    out = tmp_path / "out"
+    assert main(["audit", "--config", _write_cfg(tmp_path, bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_grid_must_be_power_of_two():
     with pytest.raises(ConfigError):
         parse_config(dict(TINY_SBP, grid={"T": 1.0, "N": 100}))
@@ -187,6 +199,10 @@ def test_numpy_float_cells_are_written_as_plain_floats():
     assert text == "# config_hash=h\nx,n\n0.5,3\n0.25,4\n"
 
 
+SIDAK_2 = {"name": "sidak", "chaos_level": 2, "cov": [[1.0, 0.0], [0.0, 1.0]],
+           "thresholds": [0.5, 1.0]}
+
+
 @pytest.mark.parametrize("entry, key", [
     ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "nn": 300}, "checks[1].nn"),
     ({"name": "anderson", "eps": 1.5}, "checks[1].alpha"),
@@ -196,6 +212,13 @@ def test_numpy_float_cells_are_written_as_plain_floats():
     ({"name": "sidak", "n_steps": 64}, "checks[1].n_steps"),
     ({"name": "sidak", "cov": [[1.0, 0.0], [0.0]]}, "checks[1].cov"),
     ({"name": "borell_shift", "set": ["ball", 1.0]}, "checks[1].set[0]"),
+    (dict(SIDAK_2, forms=[["linear_x", [1.0], 1.0]]), "checks[1].forms: needs"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]], 0.5], ["cubic", [1.0], 1.0]]),
+     "checks[1].forms[1][0]"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]], "wide"]]), "checks[1].forms[0][2]"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]], -0.5]]), "checks[1].forms[0][2]"),
+    (dict(SIDAK_2, forms=[["bilinear", [1.0], 0.5]]), "checks[1].forms[0][1]"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]]]]), "checks[1].forms[0]:"),
 ])
 def test_bad_check_entries_exit_two_before_any_check_runs(tmp_path, monkeypatch, capsys,
                                                          entry, key):

@@ -1,7 +1,15 @@
 """Correlation and shift inequality checks and their report plumbing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import ndtr, ndtri
+
+import roughball
 
 from roughball import (
     CMPath,
@@ -14,6 +22,7 @@ from roughball import (
     check_sidak,
     run,
 )
+from roughball.inequalities import _normal_pdf
 
 OK = ("holds", "holds_within_noise")
 
@@ -76,6 +85,11 @@ def test_sidak_level_two_rejects_correlated_blocks():
         check_sidak(cov, [1.0, 1.0], chaos_level=2)
 
 
+def test_sidak_level_two_needs_a_bilinear_form():
+    with pytest.raises(ValueError, match="bilinear"):
+        check_sidak(np.eye(2), [1.0, 1.0], chaos_level=2, forms=[("linear_x", np.ones(1), 1.0)])
+
+
 def test_borell_half_space_is_exact():
     rep = check_borell_shift(1, ("half_space", 0.0), 1.0, n=10000)
     assert rep.margin == 0.0
@@ -100,6 +114,36 @@ def test_canary_reports_violation():
     assert rep.verdict == "violated"
     assert rep.margin < 0
     assert rep.margin < -4 * rep.margin_se  # a real violation, not noise
+
+
+@pytest.mark.parametrize("seed, lhs, verdict", [(0, 1.0, "holds"), (3, 0.0, "violated")])
+def test_single_sample_proportions_keep_their_standard_errors(seed, lhs, verdict):
+    # the binomial se is floored at sqrt(1e-300) for the sidak and box checks;
+    # the canary keeps its unfloored se of 0 and so the deterministic verdict
+    sidak = check_sidak(np.eye(4), [1.0] * 4, method="mc", n=1, seed=seed)
+    box = check_borell_shift(2, ("box", 1.0), 0.5, n=1, seed=seed)
+    canary = canary_violation(n=1, seed=seed)
+    for rep, se in ((sidak, np.sqrt(1e-300)), (box, np.sqrt(1e-300)), (canary, 0.0)):
+        assert (rep.lhs, rep.margin_se, rep.verdict) == (lhs, se, verdict)
+        assert rep.margin == lhs - rep.rhs
+
+
+def test_normal_functions_match_scipy_stats_bit_for_bit():
+    x = np.array([-np.inf, -40.0, -38.5, -8.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.3,
+                  1.96, 8.0, 38.5, 40.0, np.inf])
+    q = np.array([0.0, 1e-300, 1e-20, 0.025, 0.5, 0.975, 1.0 - 2.0**-53, 1.0])
+    for ours, theirs in ((ndtr(x), stats.norm.cdf(x)), (ndtri(q), stats.norm.ppf(q)),
+                         (_normal_pdf(x), stats.norm.pdf(x))):
+        assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughball.__file__)))
+    code = "import sys, roughball; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_reports_csv_layout(tmp_path):

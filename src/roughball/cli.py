@@ -67,9 +67,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -1,33 +1,32 @@
 """Declarative experiment configs: schema validation, defaults, hashing.
 
 A config is a JSON object with an ``experiment`` kind and per-kind sections.
-Parsing fills defaults and validates every key against the schema below;
-unknown keys are rejected by name so typos fail loudly instead of silently
-running a default.  The resolved config is what gets hashed (canonical JSON,
-sorted keys) and echoed next to the artifacts, and parsing an echoed config
-resolves to the identical object.
+This module alone knows what a config may contain.  Parsing fills defaults
+and validates every key against the schema below, inequality check entries
+included (``resolve_checks`` turns them into calls); unknown keys are
+rejected by name so typos fail loudly instead of silently running a default.
+The resolved config is what gets hashed (canonical JSON, sorted keys) and
+echoed next to the artifacts, and parsing an echoed config resolves to the
+identical object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
+import numpy as np
+
+from . import inequalities
 from .gaussian import CovarianceModel, brownian_model, custom_model, fbm_model
+from .paths import CMPath
 from .smallball import NORM_KINDS, _check_alpha
 
 EXPERIMENTS = ("sbp", "entropy", "quantize", "empirical", "inequalities", "audit")
-
-KNOWN_CHECKS = (
-    "anderson",
-    "cameron_martin",
-    "sidak",
-    "borell_shift",
-    "borell_shift_rough",
-    "canary_violation",
-)
 
 
 class ConfigError(ValueError):
@@ -55,9 +54,6 @@ class ExperimentConfig:
     @property
     def hash(self) -> str:
         return config_hash(self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and self.data == other.data
 
     def model(self) -> CovarianceModel:
         return _build_model(self.data["model"], self.data["grid"]["T"])
@@ -89,6 +85,8 @@ def _req(section: dict, key: str, where: str):
 def _num(value, key, kind=float, low=None, high=None, low_open=False, high_open=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     v = kind(value)
     if kind is int and v != value:
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
@@ -113,8 +111,6 @@ def _no_extras(section: dict, allowed, where: str):
 
 def _eps_list(value, key: str) -> list:
     """Accept an explicit list or {min, max, count} resolved to a geometric grid."""
-    import numpy as np
-
     if isinstance(value, dict):
         _no_extras(value, ("min", "max", "count"), key)
         lo = _num(_req(value, "min", key), f"{key}.min", float, 0, low_open=True)
@@ -152,12 +148,13 @@ def _validate_model(spec, where="model") -> dict:
     return out
 
 
-def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic"):
-    a = _num(alpha, "alpha", float)
+def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic",
+                    where: str = ""):
+    a = _num(alpha, f"{where}alpha", float)
     try:
         _check_alpha(model, a, norm_kind)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}{exc}") from exc
     return a
 
 
@@ -290,19 +287,134 @@ def _resolve_inequalities(raw: dict, common: dict, model: CovarianceModel) -> di
         ]
     if not isinstance(checks, list) or not checks:
         raise ConfigError("checks: expected a nonempty list")
-    resolved = []
-    for i, chk in enumerate(checks):
-        if not isinstance(chk, dict):
-            raise ConfigError(f"checks[{i}]: expected an object")
-        name = _choice(_req(chk, "name", f"checks[{i}]"), f"checks[{i}].name", KNOWN_CHECKS)
-        entry = dict(chk)
-        entry["name"] = name
-        if "alpha" in entry:
-            entry["alpha"] = _validate_alpha(entry["alpha"], model)
-        resolved.append(entry)
-    out = dict(common)
-    out["checks"] = resolved
+    out = dict(common, checks=checks)
+    resolve_checks(model, out)
+    return dict(out, checks=[dict(chk) for chk in checks])
+
+
+def _numeric_array(value, key: str, ndim: int, size=None) -> np.ndarray:
+    """A float array of ndim dimensions (and size entries, if given) or ConfigError."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # ragged nesting
+        value = None
+    if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
+            or (size is not None and value.size != size) or not np.isfinite(value).all()):
+        shape = "a matrix of" if ndim == 2 else "a list of" if size is None else f"a list of {size}"
+        raise ConfigError(f"{key}: expected {shape} finite numbers")
+    return value.astype(float)
+
+
+def _sidak_forms(forms, where: str, size: int) -> list:
+    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples.
+
+    The first bilinear form's p x q matrix fixes the block sizes: every
+    bilinear form must be p x q, every ``linear_x`` vector of length p and
+    every ``linear_y`` vector of length q, and p + q must equal ``size``, the
+    size of the check's ``cov``.
+    """
+    key = f"{where}.forms"
+    if not isinstance(forms, list):
+        raise ConfigError(f"{key}: expected a list of [kind, coefficients, eps]")
+    out = []
+    for k, form in enumerate(forms):
+        if not (isinstance(form, list) and len(form) == 3):
+            raise ConfigError(f"{key}[{k}]: expected [kind, coefficients, eps]")
+        kind = _choice(form[0], f"{key}[{k}][0]", ("bilinear", "linear_x", "linear_y"))
+        coefficients = _numeric_array(form[1], f"{key}[{k}][1]", 2 if kind == "bilinear" else 1)
+        out.append((kind, coefficients, _num(form[2], f"{key}[{k}][2]", float, 0, low_open=True)))
+    first = next((c for kind, c, _ in out if kind == "bilinear"), None)
+    if first is None:
+        raise ConfigError(f"{key}: needs at least one bilinear form")
+    p, q = first.shape
+    if p + q != size:
+        raise ConfigError(f"{where}.cov: size {size} must equal {p} + {q}, the block sizes "
+                          "of the first bilinear form")
+    shapes = {"bilinear": (p, q), "linear_x": (p,), "linear_y": (q,)}
+    for k, (kind, coefficients, _) in enumerate(out):
+        if coefficients.shape != shapes[kind]:
+            raise ConfigError(f"{key}[{k}][1]: a {kind} form needs shape {shapes[kind]} "
+                              f"for blocks of sizes {p} and {q}, got {coefficients.shape}")
     return out
+
+
+def _one_check(model, cfg: dict, entry, where: str):
+    """Resolve one ``checks`` entry into its call, without running it.
+
+    Each branch reads exactly the keys its check takes, so the branches are
+    the list of checks.  A key no branch reads, a missing required key or an
+    ill-typed value raises ConfigError naming ``checks[i].<key>``.  Each check
+    is looked up on the ``inequalities`` module when its call is built, so a
+    rebound name takes effect.
+    """
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected an object")
+    used = {"name"}
+
+    def get(key, default=...):  # no default: a required key
+        used.add(key)
+        return _req(entry, key, where) if default is ... else entry.get(key, default)
+
+    def num(key, default=..., *bounds, **kw):
+        return _num(get(key, default), f"{where}.{key}", *bounds, **kw)
+
+    def array(key, default, ndim, size=None):
+        return _numeric_array(get(key, default), f"{where}.{key}", ndim, size)
+
+    name = _req(entry, "name", where)
+    seed = num("seed", cfg["seed"], int, 0)
+    default_steps = min(cfg["grid"]["N"], 256)
+    if name in ("anderson", "cameron_martin"):
+        steps = num("n_steps", default_steps, int, 2)
+        check = getattr(inequalities, f"check_{name}")
+        alpha = _validate_alpha(get("alpha"), model, where=f"{where}.")
+        default_center = None if name == "anderson" else [1.0] + [0.0] * (model.dim - 1)
+        center = get("center", default_center)
+        if center is not None or name == "cameron_martin":  # anderson's null: no centre
+            times = np.linspace(0.0, model.horizon, steps + 1)  # a straight-line drift
+            center = CMPath(times, np.outer(times / model.horizon,
+                                            array("center", default_center, 1, model.dim)))
+        call = partial(check, model, alpha, center, num("eps", low=0, low_open=True),
+                       n=num("n", 20000, int, 1), seed=seed, n_steps=steps,
+                       variant=cfg["variant"])
+    elif name == "sidak":
+        cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
+        forms = get("forms", None)
+        if forms is not None:
+            forms = _sidak_forms(forms, where, cov.shape[0])
+        call = partial(inequalities.check_sidak, cov,
+                       array("thresholds", [1.0] * cov.shape[0], 1),
+                       chaos_level=num("chaos_level", 1, int, 1, 2),
+                       method=_choice(get("method", "auto"), f"{where}.method",
+                                      ("auto", "quadrature", "mc")),
+                       n=num("n", 200000, int, 1), seed=seed, forms=forms)
+    elif name == "borell_shift":
+        set_spec = get("set", ["half_space", 0.0])
+        if not (isinstance(set_spec, list) and len(set_spec) == 2):
+            raise ConfigError(f"{where}.set: expected [\"half_space\" or \"box\", number]")
+        set_kind = _choice(set_spec[0], f"{where}.set[0]", ("half_space", "box"))
+        call = partial(inequalities.check_borell_shift, num("dimension", 1, int, 1),
+                       (set_kind, _num(set_spec[1], f"{where}.set[1]", float)),
+                       num("lam", 1.0, float, 0), n=num("n", 200000, int, 1), seed=seed)
+    elif name == "borell_shift_rough":
+        call = partial(inequalities.check_borell_shift_rough, model,
+                       _validate_alpha(get("alpha"), model, where=f"{where}."),
+                       num("eps", low=0, low_open=True), num("lam", 0.5, float, 0),
+                       n=num("n", 4000, int, 1), seed=seed,
+                       n_steps=num("n_steps", default_steps, int, 2),
+                       n_directions=num("n_directions", 8, int, 1), variant=cfg["variant"])
+    elif name == "canary_violation":
+        call = partial(inequalities.canary_violation, n=num("n", 100000, int, 1), seed=seed)
+    else:
+        raise ConfigError(f"{where}.name: unknown check {name!r}")
+    _no_extras(entry, used, where)
+    return call
+
+
+def resolve_checks(model: CovarianceModel, cfg: dict) -> list:
+    """The calls of a resolved inequalities config's checks, in order; runs none."""
+    return [_one_check(model, cfg, entry, f"checks[{i}]")
+            for i, entry in enumerate(cfg["checks"])]
 
 
 def _resolve_audit(raw: dict, common: dict, model: CovarianceModel) -> dict:

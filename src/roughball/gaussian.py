@@ -162,12 +162,14 @@ class PathSample:
 class SamplerPlan:
     """Precomputed sampling transform for one (model, grid) pair.
 
-    The plan is chosen deterministically from the model and grid alone, so a
-    fixed (master_seed, index) yields a bit-identical path regardless of how
-    samples are batched over workers.
+    The method is chosen from the model and grid alone: iid increments for
+    Brownian motion, circulant embedding on a uniform grid, Cholesky otherwise
+    or when the embedding is indefinite.  So a fixed (master_seed, index)
+    yields a bit-identical path regardless of how samples are batched over
+    workers.
     """
 
-    def __init__(self, model: CovarianceModel, times, method: str = "auto"):
+    def __init__(self, model: CovarianceModel, times):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or not np.all(np.diff(times) > 0):
             raise ValueError("grid must be a strictly increasing time vector")
@@ -182,17 +184,12 @@ class SamplerPlan:
         uniform = bool(np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * times[-1]))
         self.note = ""
 
-        if method == "auto":
-            if model.kind == "brownian":
-                method = "iid"
-            elif uniform:
-                method = "circulant"
-            else:
-                method = "cholesky"
-        if method == "iid" and model.kind != "brownian":
-            raise ValueError("iid increments are exact for the Brownian model only")
-        if method == "circulant" and not uniform:
-            raise ValueError("circulant embedding needs a uniform grid")
+        if model.kind == "brownian":
+            method = "iid"
+        elif uniform:
+            method = "circulant"
+        else:
+            method = "cholesky"
 
         if method == "circulant":
             lam = self._embedding_eigenvalues(dt[0])
@@ -307,10 +304,9 @@ def sample_path_block(plan: SamplerPlan, master_seed: int, start: int, stop: int
     return values
 
 
-def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int,
-                   method: str = "auto"):
+def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int):
     """Yield n exact PathSamples on the grid, one per sample index."""
-    plan = SamplerPlan(model, times, method=method)
+    plan = SamplerPlan(model, times)
     for start in range(0, n, _DRAW_CHUNK):
         values = sample_path_block(plan, master_seed, start, min(start + _DRAW_CHUNK, n))
         for k, row in enumerate(values):

@@ -15,7 +15,8 @@ interval and a binomial standard error unless the check supplies its own.
 Normal probabilities come from ``scipy.special`` (``ndtr``, ``ndtri``).
 
 Reports are data objects with a ``to_dict`` form; the runner formats and
-writes the report artifacts.
+writes the report artifacts.  ``config.resolve_checks`` validates a
+config's check entries; the checks raise ValueError on bad library calls.
 """
 
 from __future__ import annotations
@@ -117,10 +118,8 @@ def _proportion_report(name, hits, n, rhs, config, se=None, notes=(),
 # ---------------------------------------------------------------------------
 
 
-def _drift_values(model: CovarianceModel, h: CMPath | None, n_steps: int) -> np.ndarray:
-    """Values (N+1, d) of a drift on the simulation grid; the zero path for None."""
-    if h is None:
-        return np.zeros((n_steps + 1, model.dim))
+def _drift_values(model: CovarianceModel, h: CMPath, n_steps: int) -> np.ndarray:
+    """Values (N+1, d) of a drift on the simulation grid."""
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     if h.values.shape != (n_steps + 1, model.dim) or not np.allclose(h.times, times):
         raise ValueError("drift path must live on the simulation grid")
@@ -166,17 +165,18 @@ def _paired_probability_report(name, ind_lhs, ind_rhs, rhs_factor, config, notes
     )
 
 
-def check_anderson(model: CovarianceModel, alpha: float, center: CMPath, eps: float,
+def check_anderson(model: CovarianceModel, alpha: float, center: CMPath | None, eps: float,
                    n: int = 50000, seed: int = 0, n_steps: int = 256,
                    variant: str = DEFAULT_NORM_VARIANT) -> InequalityReport:
     """Centering can only help: P[norm < eps] >= P[distance-to-center < eps].
 
-    Both probabilities are estimated from the same simulated lifts; with a
-    zero center the two events coincide and the margin is exactly zero.
+    Both probabilities are estimated from the same simulated lifts; with no
+    center (None) the two events coincide and the margin is exactly zero.
     """
-    ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant,
-                                     centre=_drift_values(model, center, n_steps))
-    origin, centered = ens.rough_norms(alpha), ens.centred_norms(alpha)
+    centre = None if center is None else _drift_values(model, center, n_steps)
+    ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant, centre=centre)
+    origin = ens.rough_norms(alpha)
+    centered = origin if centre is None else ens.centred_norms(alpha)
     config = {
         "model": model.describe(), "alpha": alpha, "eps": eps, "n": n,
         "seed": seed, "n_steps": n_steps, "variant": variant,
@@ -365,9 +365,16 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
         first = next((f for f in forms if f[0] == "bilinear"), None)
         if first is None:
             raise ValueError("level-2 forms need at least one bilinear form")
-        p, q = np.asarray(first[1]).shape
+        p, q = np.shape(first[1])
         if p + q != d:
             raise ValueError("stacked covariance size must equal x-dim + y-dim")
+        shapes = {"bilinear": (p, q), "linear_x": (p,), "linear_y": (q,)}
+        for kind, coefficients, _ in forms:
+            if kind not in shapes:
+                raise ValueError(f"unknown form kind {kind!r}")
+            if np.shape(coefficients) != shapes[kind]:
+                raise ValueError(f"a {kind} form needs coefficients of shape {shapes[kind]} "
+                                 f"for blocks of sizes {p} and {q}, got {np.shape(coefficients)}")
     if not np.allclose(cov[:p, p:], 0.0, atol=1e-12):
         raise ValueError("x and y blocks must be independent (zero cross-covariance)")
 
@@ -385,10 +392,8 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
                 val = np.einsum("si,ij,sj->s", xs, np.asarray(mat, dtype=float), ys)
             elif kind == "linear_x":
                 val = xs @ np.asarray(mat, dtype=float)
-            elif kind == "linear_y":
-                val = ys @ np.asarray(mat, dtype=float)
             else:
-                raise ValueError(f"unknown form kind {kind!r}")
+                val = ys @ np.asarray(mat, dtype=float)
             ind[:, k] = np.abs(val) < eps
         joint = np.all(ind, axis=1)
         hit_each += ind.sum(axis=0)

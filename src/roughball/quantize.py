@@ -243,17 +243,13 @@ def _greedy_order(mesh: LiftedSet, alpha: float, variant: str) -> tuple[np.ndarr
     return order, radii
 
 
-def greedy_cover(ball_spec, alpha: float, eps: float,
+def greedy_cover(mesh: BallMesh, alpha: float, eps: float,
                  variant: str = DEFAULT_NORM_VARIANT) -> CoverResult:
     """Cover a lifted kernel-ball mesh by greedy farthest-point centers.
 
-    ball_spec is a BallMesh or a dict {model, eta, n_steps, mesh_size, seed}.
     The center count is exact for the mesh (an upper-bound certificate for
     the mesh only; for the underlying ball it is a lower-bound observation).
     """
-    mesh = ball_spec if isinstance(ball_spec, BallMesh) else cm_ball_mesh(
-        ball_spec["model"], ball_spec["eta"], ball_spec.get("n_steps", 64),
-        ball_spec.get("mesh_size", 256), ball_spec.get("seed", 0))
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     order, radii = _greedy_order(mesh.lifted, alpha, variant)

@@ -1,5 +1,7 @@
 """Experiment pipelines: run a resolved config, emit hashed artifacts.
 
+The runner keeps no input rules: it runs what ``config`` hands it, the
+inequality checks included (``config.resolve_checks`` builds their calls).
 This is the one module that formats and writes artifacts; the library hands
 it data objects and their ``to_dict`` forms.  Every pipeline writes its files
 atomically (temp file in the target directory, then rename), embeds the
@@ -19,12 +21,11 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
-from . import gaussian, inequalities, quantize, smallball
-from .config import ConfigError, _choice, _no_extras, _num, _req, echo_config, parse_config
+from . import gaussian, quantize, smallball
+from .config import ConfigError, echo_config, parse_config, resolve_checks
 
 
 class StrictViolationError(AssertionError):
@@ -257,127 +258,12 @@ def _run_empirical(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
     }
 
 
-def _linear_drift(model, n_steps: int, endpoint):
-    """Straight-line drift path to the given endpoint, on the simulation grid."""
-    from .paths import CMPath
-
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    values = np.outer(times / model.horizon, endpoint)
-    return CMPath(times, values)
-
-
-_REQUIRED = object()
-
 _REPORT_COLUMNS = ("name", "verdict", "lhs", "lhs_ci_low", "lhs_ci_high", "rhs",
                    "rhs_ci_low", "rhs_ci_high", "margin", "margin_se", "seed")
 
 
-def _numeric_array(value, key: str, ndim: int, size=None) -> np.ndarray:
-    """A float array of ndim dimensions (and size entries, if given) or ConfigError."""
-    try:
-        value = np.asarray(value)
-    except ValueError:  # ragged nesting
-        value = None
-    if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
-            or (size is not None and value.size != size)):
-        shape = "a matrix" if ndim == 2 else "a list" if size is None else f"a list of {size}"
-        raise ConfigError(f"{key}: expected {shape} of numbers")
-    return value.astype(float)
-
-
-def _sidak_forms(forms, key: str) -> list:
-    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples.
-
-    Coefficients are a matrix for a bilinear form and a vector for a linear
-    one; at least one form must be bilinear, since it fixes the block sizes.
-    """
-    if not isinstance(forms, list):
-        raise ConfigError(f"{key}: expected a list of [kind, coefficients, eps]")
-    out = []
-    for k, form in enumerate(forms):
-        if not (isinstance(form, list) and len(form) == 3):
-            raise ConfigError(f"{key}[{k}]: expected [kind, coefficients, eps]")
-        kind = _choice(form[0], f"{key}[{k}][0]", ("bilinear", "linear_x", "linear_y"))
-        coefficients = _numeric_array(form[1], f"{key}[{k}][1]", 2 if kind == "bilinear" else 1)
-        out.append((kind, coefficients, _num(form[2], f"{key}[{k}][2]", float, 0, low_open=True)))
-    if not any(kind == "bilinear" for kind, _, _ in out):
-        raise ConfigError(f"{key}: needs at least one bilinear form")
-    return out
-
-
-def _one_check(model, cfg: dict, entry: dict, where: str):
-    """Resolve one ``checks`` entry into its call, without running it.
-
-    Each branch reads exactly the keys its check takes.  A key no branch
-    reads, a missing required key or an ill-typed value raises ConfigError
-    naming ``checks[i].<key>``.
-    """
-    used = {"name"}
-
-    def get(key, default=_REQUIRED):
-        used.add(key)
-        return _req(entry, key, where) if default is _REQUIRED else entry.get(key, default)
-
-    def num(key, default=_REQUIRED, *bounds, **kw):
-        return _num(get(key, default), f"{where}.{key}", *bounds, **kw)
-
-    def array(key, default, ndim, size=None):
-        return _numeric_array(get(key, default), f"{where}.{key}", ndim, size)
-
-    def drift(steps, default):
-        """The ``center`` key: a straight-line drift's endpoint, or null for none."""
-        if get("center", default) is None:
-            return None
-        return _linear_drift(model, steps, array("center", default, 1, size=model.dim))
-
-    name = entry["name"]
-    seed = num("seed", cfg["seed"], int, 0)
-    default_steps = min(cfg["grid"]["N"], 256)
-    if name in ("anderson", "cameron_martin"):
-        steps = num("n_steps", default_steps, int, 2)
-        check = (inequalities.check_anderson if name == "anderson"
-                 else inequalities.check_cameron_martin)
-        default_center = None if name == "anderson" else [1.0] + [0.0] * (model.dim - 1)
-        call = partial(check, model, num("alpha"), drift(steps, default_center),
-                       num("eps", low=0, low_open=True), n=num("n", 20000, int, 1),
-                       seed=seed, n_steps=steps, variant=cfg["variant"])
-    elif name == "sidak":
-        cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
-        forms = get("forms", None)
-        if forms is not None:
-            forms = _sidak_forms(forms, f"{where}.forms")
-        call = partial(inequalities.check_sidak, cov,
-                       array("thresholds", [1.0] * cov.shape[0], 1),
-                       chaos_level=num("chaos_level", 1, int, 1, 2),
-                       method=_choice(get("method", "auto"), f"{where}.method",
-                                      ("auto", "quadrature", "mc")),
-                       n=num("n", 200000, int, 1), seed=seed, forms=forms)
-    elif name == "borell_shift":
-        set_spec = get("set", ["half_space", 0.0])
-        if not (isinstance(set_spec, list) and len(set_spec) == 2):
-            raise ConfigError(f"{where}.set: expected [\"half_space\" or \"box\", number]")
-        set_kind = _choice(set_spec[0], f"{where}.set[0]", ("half_space", "box"))
-        call = partial(inequalities.check_borell_shift, num("dimension", 1, int, 1),
-                       (set_kind, _num(set_spec[1], f"{where}.set[1]", float)),
-                       num("lam", 1.0, float, 0), n=num("n", 200000, int, 1), seed=seed)
-    elif name == "borell_shift_rough":
-        call = partial(inequalities.check_borell_shift_rough, model, num("alpha"),
-                       num("eps", low=0, low_open=True), num("lam", 0.5, float, 0),
-                       n=num("n", 4000, int, 1), seed=seed,
-                       n_steps=num("n_steps", default_steps, int, 2),
-                       n_directions=num("n_directions", 8, int, 1), variant=cfg["variant"])
-    elif name == "canary_violation":
-        call = partial(inequalities.canary_violation, n=num("n", 100000, int, 1), seed=seed)
-    else:
-        raise ConfigError(f"{where}.name: unknown check {name!r}")
-    _no_extras(entry, used, where)
-    return call
-
-
 def _run_inequalities(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
-    # every entry is resolved before any check runs, so a bad key fails fast
-    calls = [_one_check(model, cfg, entry, f"checks[{i}]")
-             for i, entry in enumerate(cfg["checks"])]
+    calls = resolve_checks(model, cfg)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(lambda call: call(), calls))

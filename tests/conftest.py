@@ -8,6 +8,13 @@ directory on sys.path because there is no package __init__.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Generative tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic; no deadline, since timing on a
+# shared machine is not what these tests check.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

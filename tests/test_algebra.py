@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roughball import (
+    CMPath,
     G2Element,
     batch_homogeneous_norm,
     g2_dilate,
@@ -13,9 +17,20 @@ from roughball import (
     g2_multiply,
     g2_unit,
     homogeneous_norm,
+    lift_piecewise_linear,
     random_g2,
     subadditivity_ratio,
 )
+
+EPS = np.finfo(float).eps
+COORDS = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def g2_elements(draw):
+    d = draw(st.integers(1, 4))
+    return G2Element(draw(hnp.arrays(float, d, elements=COORDS)),
+                     draw(hnp.arrays(float, (d, d), elements=COORDS)))
 
 
 def test_unit_is_neutral(rng):
@@ -120,3 +135,39 @@ def test_dimension_mismatch_rejected(rng):
     y = random_g2(rng, 3)
     with pytest.raises(ValueError):
         g2_multiply(x, y)
+
+
+# ------------------------------------------------------------ generative checks
+
+
+@given(g2_elements())
+def test_multiply_by_inverse_gives_unit(x):
+    scale = 1.0 + np.abs(x.level2).max() + np.abs(x.level1).max() ** 2
+    for e in (g2_multiply(x, g2_inverse(x)), g2_multiply(g2_inverse(x), x)):
+        assert np.all(e.level1 == 0.0)
+        assert np.abs(e.level2).max() <= 4 * EPS * scale
+
+
+@pytest.mark.parametrize("variant", ["sum", "sup"])
+@given(x=g2_elements(), t=st.floats(-3.0, 3.0, allow_nan=False))
+def test_norm_dilation_homogeneity_and_inversion_symmetry(variant, x, t):
+    # the norm takes square roots of level-2 log coordinates, so a rounding
+    # residue of size eps * |level 1|^2 moves it by about sqrt(eps) relative
+    n = homogeneous_norm(x, variant=variant)
+    dilated = homogeneous_norm(g2_dilate(x, t), variant=variant)
+    assert dilated == pytest.approx(abs(t) * n, rel=1e-6, abs=1e-12)
+    assert homogeneous_norm(g2_inverse(x), variant=variant) == pytest.approx(n, rel=1e-6)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: hnp.arrays(
+    float, st.tuples(st.integers(1, 12), st.just(d)), elements=COORDS)), st.data())
+def test_chen_identity_on_grid_lifts(steps, data):
+    n = steps.shape[0]
+    values = np.concatenate([np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)])
+    x = lift_piecewise_linear(CMPath(np.linspace(0.0, 1.0, n + 1), values))
+    i, j, k = sorted(data.draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+    chained = g2_multiply(x.increment(i, j), x.increment(j, k))
+    direct = x.increment(i, k)
+    scale = 1.0 + np.abs(x.prefix_level1).max() ** 2 + np.abs(x.prefix_level2).max()
+    assert np.abs(chained.level1 - direct.level1).max() <= 4 * EPS * np.sqrt(scale)
+    assert np.abs(chained.level2 - direct.level2).max() <= 16 * EPS * scale

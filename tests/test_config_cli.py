@@ -4,13 +4,17 @@ import csv
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roughball import ConfigError, StrictViolationError, echo_config, parse_config, run
 from roughball import inequalities
 from roughball.cli import main
+from roughball.config import resolve_checks
 from roughball.runner import _csv_text
 
 TINY_SBP = {
@@ -203,7 +207,7 @@ SIDAK_2 = {"name": "sidak", "chaos_level": 2, "cov": [[1.0, 0.0], [0.0, 1.0]],
            "thresholds": [0.5, 1.0]}
 
 
-@pytest.mark.parametrize("entry, key", [
+BAD_CHECK_ENTRIES = [
     ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "nn": 300}, "checks[1].nn"),
     ({"name": "anderson", "eps": 1.5}, "checks[1].alpha"),
     ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "n": "many"}, "checks[1].n"),
@@ -219,7 +223,24 @@ SIDAK_2 = {"name": "sidak", "chaos_level": 2, "cov": [[1.0, 0.0], [0.0, 1.0]],
     (dict(SIDAK_2, forms=[["bilinear", [[1.0]], -0.5]]), "checks[1].forms[0][2]"),
     (dict(SIDAK_2, forms=[["bilinear", [1.0], 0.5]]), "checks[1].forms[0][1]"),
     (dict(SIDAK_2, forms=[["bilinear", [[1.0]]]]), "checks[1].forms[0]:"),
-])
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]], 0.5], ["linear_x", [1.0, 2.0], 1.0]]),
+     "checks[1].forms[1][1]"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0, 1.0]], 0.5]]), "checks[1].cov"),
+    (dict(SIDAK_2, forms=[["bilinear", [[1.0]], 0.5],
+                          ["bilinear", [[1.0, 0.0], [0.0, 1.0]], 0.5]]),
+     "checks[1].forms[1][1]"),
+]
+
+
+@pytest.mark.parametrize("entry, key", BAD_CHECK_ENTRIES)
+def test_parse_config_rejects_bad_check_entries(entry, key):
+    cfg = dict(TINY_INEQ, checks=[{"name": "canary_violation", "n": 100}, entry])
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value).startswith(key)
+
+
+@pytest.mark.parametrize("entry, key", BAD_CHECK_ENTRIES)
 def test_bad_check_entries_exit_two_before_any_check_runs(tmp_path, monkeypatch, capsys,
                                                          entry, key):
     ran = []
@@ -230,6 +251,88 @@ def test_bad_check_entries_exit_two_before_any_check_runs(tmp_path, monkeypatch,
     assert f"config error: {key}" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
+
+
+# The keys each check takes, written out independently of the resolver.
+CHECK_KEYS = {
+    "anderson": ("alpha", "eps", "n", "seed", "n_steps", "center"),
+    "cameron_martin": ("alpha", "eps", "n", "seed", "n_steps", "center"),
+    "sidak": ("cov", "thresholds", "chaos_level", "method", "n", "seed", "forms"),
+    "borell_shift": ("dimension", "set", "lam", "n", "seed"),
+    "borell_shift_rough": ("alpha", "eps", "lam", "n", "seed", "n_steps", "n_directions"),
+    "canary_violation": ("n", "seed"),
+}
+REQUIRED_KEYS = ("alpha", "eps")
+ILL_TYPED = st.sampled_from(["x", None, True, [], {}, [1.0, "a"], [[1.0], [2.0, 3.0]],
+                             -1, 0.5, float("nan"), float("inf")])
+UNKNOWN_KEYS = ("nn", "centre", "alpah", "threads")
+POSITIVE = st.floats(0.01, 10.0)
+
+
+@st.composite
+def _valid_values(draw, dim: int) -> dict:
+    """One valid value for every key any check takes; the sidak keys agree in size."""
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def vector(size):
+        return draw(st.lists(POSITIVE, min_size=size, max_size=size))
+
+    extra = [[kind, vector(p if kind == "linear_x" else q), draw(POSITIVE)]
+             for kind in draw(st.lists(st.sampled_from(["linear_x", "linear_y"]), max_size=2))]
+    return {
+        "alpha": draw(st.floats(0.34, 0.49)),
+        "eps": draw(POSITIVE),
+        "n": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**31)),
+        "n_steps": draw(st.integers(2, 256)),
+        "center": draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)),
+        "cov": np.eye(p + q).tolist(),
+        "thresholds": vector(p + q),
+        "chaos_level": draw(st.integers(1, 2)),
+        "method": draw(st.sampled_from(["auto", "quadrature", "mc"])),
+        "forms": [["bilinear", [vector(q) for _ in range(p)], draw(POSITIVE)]] + extra,
+        "dimension": draw(st.integers(1, 5)),
+        "set": [draw(st.sampled_from(["half_space", "box"])), draw(st.floats(-3.0, 3.0))],
+        "lam": draw(st.floats(0.0, 5.0)),
+        "n_directions": draw(st.integers(1, 16)),
+    }
+
+
+@st.composite
+def _check_entry(draw, dim: int) -> dict:
+    """A random subset of a check's keys with valid values, then at most one fault."""
+    name = draw(st.sampled_from(sorted(CHECK_KEYS)))
+    values = draw(_valid_values(dim))
+    entry = {"name": name}
+    for key in CHECK_KEYS[name]:
+        if key in REQUIRED_KEYS or draw(st.booleans()):
+            entry[key] = values[key]
+    fault = draw(st.sampled_from([None, "ill_typed", "missing", "unknown"]))
+    if fault == "ill_typed":
+        entry[draw(st.sampled_from(CHECK_KEYS[name]))] = draw(ILL_TYPED)
+    elif fault == "missing":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif fault == "unknown":
+        entry[draw(st.sampled_from(UNKNOWN_KEYS))] = 1
+    return entry
+
+
+@given(st.integers(1, 2).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(_check_entry(dim), min_size=1, max_size=3))))
+def test_check_entries_resolve_or_name_their_key(case):
+    dim, entries = case
+    raw = dict(TINY_INEQ, model={"kind": "brownian", "d": dim}, checks=entries)
+    try:
+        cfg = parse_config(raw)
+    except ConfigError as exc:
+        match = re.match(r"checks\[(\d+)\]\.", str(exc))
+        assert match and int(match.group(1)) < len(entries), str(exc)
+        return
+    for entry in entries:  # an accepted entry holds its required keys and no others
+        keys = CHECK_KEYS[entry["name"]]
+        assert {k for k in REQUIRED_KEYS if k in keys} <= set(entry) <= {"name", *keys}
+    assert len(resolve_checks(cfg.model(), cfg.data)) == len(entries)
+    assert parse_config(echo_config(cfg)).hash == cfg.hash
 
 
 def test_audit_run_covers_model_diagnostics(tmp_path):

@@ -90,6 +90,18 @@ def test_sidak_level_two_needs_a_bilinear_form():
         check_sidak(np.eye(2), [1.0, 1.0], chaos_level=2, forms=[("linear_x", np.ones(1), 1.0)])
 
 
+@pytest.mark.parametrize("forms, message", [
+    ([("bilinear", np.ones((1, 1)), 0.5), ("linear_x", np.ones(2), 1.0)],
+     r"linear_x form needs coefficients of shape \(1,\)"),
+    ([("bilinear", np.ones((1, 2)), 0.5)], "stacked covariance size"),
+    ([("bilinear", np.ones((1, 1)), 0.5), ("bilinear", np.eye(2), 0.5)],
+     r"bilinear form needs coefficients of shape \(1, 1\)"),
+])
+def test_sidak_level_two_checks_form_shapes(forms, message):
+    with pytest.raises(ValueError, match=message):
+        check_sidak(np.eye(2), [0.5, 1.0], chaos_level=2, n=100, forms=forms)
+
+
 def test_borell_half_space_is_exact():
     rep = check_borell_shift(1, ("half_space", 0.0), 1.0, n=10000)
     assert rep.margin == 0.0

@@ -160,15 +160,6 @@ def test_cover_curve_counts_align_with_direct_calls():
     assert curve["eps"] == sorted(curve["eps"], reverse=True)
 
 
-def test_greedy_cover_accepts_spec_dict():
-    res = greedy_cover(
-        {"model": brownian_model(), "eta": 1.0, "n_steps": 32, "mesh_size": 30, "seed": 1},
-        alpha=0.4,
-        eps=0.8,
-    )
-    assert res.n_centers >= 1 and res.probe_size == 30
-
-
 # ------------------------------------------------------------- entropy bounds
 
 

@@ -19,15 +19,18 @@ GRID = np.linspace(0.0, 1.0, 129)
 # transform chunks, and starts that are not chunk multiples.
 RANGES = ((0, 1), (7, 8), (3, 40), (31, 33), (5, 102))
 
+# (model, grid, the method the plan picks for them)
 CASES = {
-    "iid_d1": (lambda: brownian_model(1), GRID, "auto", "iid"),
-    "iid_d3": (lambda: brownian_model(3), GRID, "auto", "iid"),
-    "circulant_fbm_d2": (lambda: fbm_model(0.4, 2), GRID, "auto", "circulant"),
-    "cholesky_fbm_d2": (lambda: fbm_model(0.4, 2), GRID[:65], "cholesky", "cholesky"),
+    "iid_d1": (lambda: brownian_model(1), GRID, "iid"),
+    "iid_d3": (lambda: brownian_model(3), GRID, "iid"),
+    "circulant_fbm_d2": (lambda: fbm_model(0.4, 2), GRID, "circulant"),
+    "cholesky_fbm_d2": (lambda: fbm_model(0.4, 2),
+                        np.concatenate([np.linspace(0.0, 0.25, 33),
+                                        np.linspace(0.25, 0.5, 17)[1:]]), "cholesky"),
     "cholesky_custom_nonuniform": (
         lambda: custom_model([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.3, 0.55, 0.8, 1.0], 1.2, 2),
         np.concatenate([np.linspace(0.0, 0.5, 33), np.linspace(0.5, 1.0, 17)[1:]]),
-        "auto", "cholesky"),
+        "cholesky"),
 }
 
 
@@ -39,8 +42,8 @@ def _per_sample_values(plan, seed, idx):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_block_equals_per_sample_draws(case):
-    make, times, method, expected_method = CASES[case]
-    plan = SamplerPlan(make(), times, method=method)
+    make, times, expected_method = CASES[case]
+    plan = SamplerPlan(make(), times)
     assert plan.method == expected_method
     for start, stop in RANGES:
         block = sample_path_block(plan, 2024, start, stop)
@@ -51,8 +54,8 @@ def test_block_equals_per_sample_draws(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_draw_increments_matches_component_loop(case):
-    make, times, method, _ = CASES[case]
-    plan = SamplerPlan(make(), times, method=method)
+    make, times, _ = CASES[case]
+    plan = SamplerPlan(make(), times)
     for idx in (0, 1, 17):
         got = plan.draw_increments(sample_rng(5, idx))
         assert np.array_equal(got, draw_increments_loop(plan, sample_rng(5, idx)))
@@ -60,10 +63,10 @@ def test_draw_increments_matches_component_loop(case):
 
 @pytest.mark.parametrize("case", ["iid_d3", "circulant_fbm_d2", "cholesky_fbm_d2"])
 def test_simulate_paths_unchanged(case):
-    make, times, method, _ = CASES[case]
+    make, times, _ = CASES[case]
     model = make()
-    plan = SamplerPlan(model, times, method=method)
-    samples = list(simulate_paths(model, times, 70, 11, method=method))
+    plan = SamplerPlan(model, times)
+    samples = list(simulate_paths(model, times, 70, 11))
     assert [s.index for s in samples] == list(range(70))
     for s in samples:
         assert s.master_seed == 11

@@ -305,8 +305,8 @@ def _numeric_array(value, key: str, ndim: int, size=None) -> np.ndarray:
     return value.astype(float)
 
 
-def _sidak_forms(forms, where: str, size: int) -> list:
-    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples.
+def _sidak_forms(forms, where: str, size: int) -> tuple[list, int]:
+    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples and p.
 
     The first bilinear form's p x q matrix fixes the block sizes: every
     bilinear form must be p x q, every ``linear_x`` vector of length p and
@@ -335,7 +335,7 @@ def _sidak_forms(forms, where: str, size: int) -> list:
         if coefficients.shape != shapes[kind]:
             raise ConfigError(f"{key}[{k}][1]: a {kind} form needs shape {shapes[kind]} "
                               f"for blocks of sizes {p} and {q}, got {coefficients.shape}")
-    return out
+    return out, p
 
 
 def _one_check(model, cfg: dict, entry, where: str):
@@ -379,15 +379,31 @@ def _one_check(model, cfg: dict, entry, where: str):
                        variant=cfg["variant"])
     elif name == "sidak":
         cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
-        forms = get("forms", None)
+        try:  # the check's own rule: square, symmetric, positive semidefinite
+            inequalities._validate_cov(cov)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.cov: {exc}") from exc
+        size = cov.shape[0]
+        thresholds = array("thresholds", [1.0] * size, 1)
+        if thresholds.size != size or np.any(thresholds <= 0):
+            raise ConfigError(f"{where}.thresholds: expected one positive threshold per "
+                              f"cov row ({size}), got {thresholds.tolist()}")
+        level = num("chaos_level", 1, int, 1, 2)
+        method = _choice(get("method", "auto"), f"{where}.method", ("auto", "quadrature", "mc"))
+        forms, p = get("forms", None), 1
         if forms is not None:
-            forms = _sidak_forms(forms, where, cov.shape[0])
-        call = partial(inequalities.check_sidak, cov,
-                       array("thresholds", [1.0] * cov.shape[0], 1),
-                       chaos_level=num("chaos_level", 1, int, 1, 2),
-                       method=_choice(get("method", "auto"), f"{where}.method",
-                                      ("auto", "quadrature", "mc")),
-                       n=num("n", 200000, int, 1), seed=seed, forms=forms)
+            forms, p = _sidak_forms(forms, where, size)
+        elif level == 2 and size != 2:
+            raise ConfigError(f"{where}.cov: chaos level 2 without forms needs a 2 x 2 cov "
+                              f"(two 1-dim blocks), got {size} x {size}")
+        if level == 2 and not np.allclose(cov[:p, p:], 0.0, atol=1e-12):
+            raise ConfigError(f"{where}.cov: chaos level 2 needs independent blocks of sizes "
+                              f"{p} and {size - p} (zero cross-covariance)")
+        if level == 1 and method == "quadrature" and size > 3:
+            raise ConfigError(f"{where}.method: quadrature supports a cov of at most 3 x 3, "
+                              f"got {size} x {size}")
+        call = partial(inequalities.check_sidak, cov, thresholds, chaos_level=level,
+                       method=method, n=num("n", 200000, int, 1), seed=seed, forms=forms)
     elif name == "borell_shift":
         set_spec = get("set", ["half_space", 0.0])
         if not (isinstance(set_spec, list) and len(set_spec) == 2):

@@ -11,12 +11,15 @@ stationary increment sequence on uniform grids (Davies-Harte construction),
 and dense Cholesky of the increment covariance otherwise.  Each sample index
 owns its seed stream, so results do not depend on batching or worker count.
 
-sample_path_block is the block entry point: it draws each index's normals
-from that index's own stream, then applies the plan's transform to a chunk of
-samples at once (one FFT call per chunk in the circulant route).  Every step
-of the transform is elementwise, a per-row FFT or a per-sample product, so a
-block draw is bit-identical to per-sample draw_increments calls whatever the
-block or chunk size.
+A stream is defined by sample_rng: index i of master seed s draws from
+default_rng((s, i)), a PCG64 seeded through numpy's SeedSequence.
+sample_path_block is the block entry point: it seeds the streams of its
+indices in vectorised passes (_pcg64_states reproduces SeedSequence and the
+PCG64 seeding step), draws each index's normals from its own stream, then
+applies the plan's transform to a chunk of samples at once (one FFT call per
+chunk in the circulant route).  Every step of the transform is elementwise, a
+per-row FFT or a per-sample product, so a block draw is bit-identical to
+per-sample draw_increments calls whatever the block or chunk size.
 """
 
 from __future__ import annotations
@@ -285,20 +288,133 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(index)))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 128-bit multiplier (numpy/random/src/pcg64).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of a nonnegative int into little-endian 32-bit words."""
+    if n < 0:
+        raise ValueError(f"seeds must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column vectors of the constants hash step k xors in (init mult^k) and
+    multiplies by (init mult^(k+1)), mod 2^32, for k < n."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mul
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_states(words: list[int], start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of sample_rng(master_seed, i) for each i in [start, stop),
+    given the master seed's _uint32_words.
+
+    SeedSequence's pool mixing and generate_state(4, uint64) run as uint32
+    array operations with one column per index: every hash constant depends
+    on the step alone, and the steps that update different pool words from
+    one source word are independent, so they run as one array operation.
+    PCG64's seeding step (srandom_r) then runs on Python ints.
+    """
+    entropy = np.empty((len(words) + 1, stop - start), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, stop, dtype=np.int64)
+    n_extra = max(entropy.shape[0] - _POOL_SIZE, 0)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * n_extra)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: entropy.shape[0]] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        step = slice(k, k + len(dst))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mul[step]))
+        k += len(dst)
+    for src in range(_POOL_SIZE, entropy.shape[0]):
+        step = slice(k, k + _POOL_SIZE)
+        pool = _mix(pool, _hashmix(entropy[src], xor[step], mul[step]))
+        k += _POOL_SIZE
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.tile(pool, (2, 1)), xor, mul)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist():
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+# Indices seeded per vectorised pass: enough to amortise the pass's fixed
+# cost of about 0.1 ms, few enough that the state list stays small.
+_SEED_CHUNK = 256
+
+
+def _index_streams(master_seed: int, start: int, stop: int):
+    """An iterator over one generator per index i in [start, stop), each set
+    to the start of sample_rng(master_seed, i)'s stream.
+
+    It yields the same Generator each time, reseeded through the public state
+    setter, so draw from it before taking the next.  Each call makes its own
+    generator, so threads never share one.  Bad indices or seeds raise here,
+    before any draw.
+    """
+    if start < 0 or stop > 2**32:
+        # a larger index takes two entropy words; no run holds that many samples
+        raise ValueError(f"sample indices must lie in [0, 2**32), got [{start}, {stop})")
+    words = _uint32_words(int(master_seed))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+
+    def reseeded():
+        for lo in range(start, stop, _SEED_CHUNK):
+            for state, inc in _pcg64_states(words, lo, min(lo + _SEED_CHUNK, stop)):
+                bit_gen.state = {"bit_generator": "PCG64",
+                                 "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+                yield gen
+
+    return reseeded()
+
+
 def sample_path_block(plan: SamplerPlan, master_seed: int, start: int, stop: int) -> np.ndarray:
     """Paths for sample indices [start, stop): values (stop-start, N+1, d) from 0.
 
     Row k is bit-identical to the cumulative sum of
     plan.draw_increments(sample_rng(master_seed, start + k)).
     """
+    streams = _index_streams(master_seed, start, stop)
     nb = stop - start
     values = np.zeros((nb, plan.n_steps + 1, plan.model.dim))
     inc = values[:, 1:]
     for lo in range(0, nb, _DRAW_CHUNK):
         hi = min(lo + _DRAW_CHUNK, nb)
         z = np.empty((hi - lo,) + plan._normal_shape)
-        for k in range(lo, hi):
-            sample_rng(master_seed, start + k).standard_normal(out=z[k - lo])
+        for row, gen in zip(z, streams):
+            gen.standard_normal(out=row)
         plan._transform(z, inc[lo:hi])
     np.cumsum(inc, axis=1, out=inc)
     return values
@@ -522,21 +638,10 @@ class CameronMartinNorm:
     rate: float  # large-deviation rate: half the squared norm
 
 
-def cameron_martin_norm(model: CovarianceModel, h) -> CameronMartinNorm:
-    """Grid projection of the reproducing-kernel norm of a drift path.
-
-    Solves the Gram system of the covariance at the interior grid points, one
-    component at a time, and sums squares across components.  For Brownian
-    motion this reproduces the piecewise-linear energy integral |h'|^2 exactly.
-    Grid refinement can only grow the value (projections onto nested spans).
-    """
-    times = np.asarray(h.times, dtype=float)
-    values = np.asarray(h.values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if np.any(np.abs(values[0]) > 0.0):
-        raise ValueError("drift path must start at the origin")
-    interior = times[1:]
+def _cm_gram_factor(model: CovarianceModel, times) -> tuple:
+    """Cholesky factor (cho_factor) of the covariance Gram matrix at the
+    interior grid points times[1:]; one factor serves every drift on the grid."""
+    interior = np.asarray(times, dtype=float)[1:]
     gram = np.empty((interior.size, interior.size))
     s2 = model.sigma2
     gram[:] = 0.5 * (
@@ -544,12 +649,22 @@ def cameron_martin_norm(model: CovarianceModel, h) -> CameronMartinNorm:
         - s2(np.abs(interior[:, None] - interior[None, :]))
     )
     try:
-        factor = cho_factor(gram)
+        return cho_factor(gram)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "covariance Gram matrix is numerically singular at this grid; "
             "coarsen the grid (fewer interior points) and retry"
         ) from exc
+
+
+def _cm_norm_from_factor(factor: tuple, values) -> CameronMartinNorm:
+    """Reproducing-kernel norm of drift values (N+1, d) or (N+1,) on the grid
+    of a _cm_gram_factor, one component at a time."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if np.any(np.abs(values[0]) > 0.0):
+        raise ValueError("drift path must start at the origin")
     sq = 0.0
     for c in range(values.shape[1]):
         hv = values[1:, c]
@@ -558,3 +673,14 @@ def cameron_martin_norm(model: CovarianceModel, h) -> CameronMartinNorm:
         sq = 0.0
     norm = float(np.sqrt(sq))
     return CameronMartinNorm(norm=norm, rate=0.5 * sq)
+
+
+def cameron_martin_norm(model: CovarianceModel, h) -> CameronMartinNorm:
+    """Grid projection of the reproducing-kernel norm of a drift path.
+
+    Solves the Gram system of the covariance at the interior grid points, one
+    component at a time, and sums squares across components.  For Brownian
+    motion this reproduces the piecewise-linear energy integral |h'|^2 exactly.
+    Grid refinement can only grow the value (projections onto nested spans).
+    """
+    return _cm_norm_from_factor(_cm_gram_factor(model, h.times), h.values)

@@ -30,6 +30,8 @@ from .algebra import DEFAULT_NORM_VARIANT
 from .gaussian import (
     CovarianceModel,
     SamplerPlan,
+    _cm_gram_factor,
+    _cm_norm_from_factor,
     cameron_martin_norm,
     sample_path_block,
     sample_rng,
@@ -460,28 +462,25 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     return _proportion_report("borell_shift", hits, n, float(ndtr(lam + ndtri(p_a))), config)
 
 
-def _cm_mesh_directions(model: CovarianceModel, times: np.ndarray, lam: float,
-                        n_directions: int) -> list[np.ndarray]:
-    """Smooth drift paths on the grid with reproducing-kernel norm == lam."""
+def _cm_mesh_directions(model: CovarianceModel, times: np.ndarray, lams,
+                        n_directions: int) -> list[list[np.ndarray]]:
+    """For each radius in lams, smooth drift paths on the grid with
+    reproducing-kernel norm == that radius (one Gram factor, one norm each)."""
     t = times / times[-1]
     d = model.dim
-    shapes = []
-    k = 0
-    while len(shapes) < n_directions:
+    factor = _cm_gram_factor(model, times)
+    normed = []
+    for k in range(n_directions):
         mode = k // (2 * d)
         comp = (k // 2) % d
         use_sin = k % 2 == 0
         base = np.sin((mode + 1) * np.pi * t) * t if use_sin else t ** (mode + 1)
         vals = np.zeros((times.size, d))
         vals[:, comp] = base
-        shapes.append(vals)
-        k += 1
-    out = []
-    for vals in shapes:
-        cm = cameron_martin_norm(model, CMPath(times, vals))
-        if cm.norm > 0:
-            out.append(vals * (lam / cm.norm))
-    return out
+        norm = _cm_norm_from_factor(factor, vals).norm
+        if norm > 0:
+            normed.append((vals, norm))
+    return [[vals * (lam_scaled / norm) for vals, norm in normed] for lam_scaled in lams]
 
 
 def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
@@ -504,8 +503,9 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
     meshes = [np.zeros((n_steps + 1, model.dim))]
-    for scale in (1.0, 0.5):
-        for vals in _cm_mesh_directions(model, times, lam * scale, n_directions):
+    lams = [lam * scale for scale in (1.0, 0.5)]
+    for directions in _cm_mesh_directions(model, times, lams, n_directions):
+        for vals in directions:
             meshes.append(vals)
             meshes.append(-vals)
     span_pow = (model.horizon * 0.5 ** np.arange(n_steps.bit_length())) ** alpha

@@ -24,11 +24,12 @@ from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import (
     CovarianceModel,
     SamplerPlan,
-    cameron_martin_norm,
+    _cm_gram_factor,
+    _cm_norm_from_factor,
+    _index_streams,
     sample_path_block,
-    sample_rng,
 )
-from .paths import (CMPath, GridRoughPath, _chunk_bounds, _component_difference,
+from .paths import (GridRoughPath, _chunk_bounds, _component_difference,
                     _component_major, _component_norms, _dyadic_pairs, _gathered_increments,
                     batch_prefix)
 from .smallball import SBPCurve
@@ -190,16 +191,17 @@ def cm_ball_mesh(model: CovarianceModel, eta: float, n_steps: int = 64,
         mesh_size = 1  # the ball degenerates to the zero path
     values = np.zeros((max(1, mesh_size), n_steps + 1, d))
     norms = np.zeros(max(1, mesh_size))
-    if eta > 0:
+    if mesh_size > 1:
         scales = (1.0, 0.75, 0.5, 0.25)
         kernel = np.ones(5) / 5.0
-        for k in range(1, mesh_size):
-            inc = sample_rng(seed, k).standard_normal((n_steps, d))
+        factor = _cm_gram_factor(model, times)
+        for k, gen in enumerate(_index_streams(seed, 1, mesh_size), start=1):
+            inc = gen.standard_normal((n_steps, d))
             for c in range(d):
                 inc[:, c] = np.convolve(inc[:, c], kernel, mode="same")
             vals = np.zeros((n_steps + 1, d))
             np.cumsum(inc, axis=0, out=vals[1:])
-            cm = cameron_martin_norm(model, CMPath(times, vals))
+            cm = _cm_norm_from_factor(factor, vals)
             target = eta * scales[k % len(scales)]
             values[k] = vals * (target / cm.norm)
             norms[k] = target

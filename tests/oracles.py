@@ -13,6 +13,8 @@ routes (gathered pair increments, then batched homogeneous norms) to dyadic
 norm maxima, to all-pairs norms, level by level to dyadic distance matrices
 between lifted sets, to the single-path Hoelder distance and geometric
 defect, and level by level, path by path to the dyadic discretisation bound.
+The reproducing-kernel norm references factor one Gram matrix per drift path
+and seed one generator per mesh path, as the routes before them did.
 They keep the arithmetic of the loops they replaced, so np.array_equal
 against them is the right test.
 """
@@ -396,3 +398,77 @@ def lemma_bound_norms_per_path(model, alpha, n, seed, n_steps, variant="sum"):
     eps = 4.0 * model.horizon / n_steps
     return np.array([dyadic_holder_bound_loop(B[k], C[k], times, alpha, eps, variant)[0]
                      for k in range(n)])
+
+
+def cameron_martin_norm_unfactored(model, h):
+    """Reproducing-kernel norm of one drift path, factoring its own Gram matrix:
+    the route before one factor served every drift on a grid."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from roughball.gaussian import CameronMartinNorm
+
+    times = np.asarray(h.times, dtype=float)
+    values = np.asarray(h.values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if np.any(np.abs(values[0]) > 0.0):
+        raise ValueError("drift path must start at the origin")
+    interior = times[1:]
+    gram = np.empty((interior.size, interior.size))
+    s2 = model.sigma2
+    gram[:] = 0.5 * (
+        s2(interior)[:, None] + s2(interior)[None, :]
+        - s2(np.abs(interior[:, None] - interior[None, :]))
+    )
+    factor = cho_factor(gram)
+    sq = 0.0
+    for c in range(values.shape[1]):
+        hv = values[1:, c]
+        sq += float(hv @ cho_solve(factor, hv))
+    if sq < 0.0:
+        sq = 0.0
+    norm = float(np.sqrt(sq))
+    return CameronMartinNorm(norm=norm, rate=0.5 * sq)
+
+
+def cm_mesh_directions_per_radius(model, times, lam, n_directions):
+    """Borell mesh drifts of kernel norm lam, one Gram factor per direction."""
+    from roughball.paths import CMPath
+
+    t = times / times[-1]
+    d = model.dim
+    out = []
+    for k in range(n_directions):
+        mode, comp = k // (2 * d), (k // 2) % d
+        base = np.sin((mode + 1) * np.pi * t) * t if k % 2 == 0 else t ** (mode + 1)
+        vals = np.zeros((times.size, d))
+        vals[:, comp] = base
+        cm = cameron_martin_norm_unfactored(model, CMPath(times, vals))
+        if cm.norm > 0:
+            out.append(vals * (lam / cm.norm))
+    return out
+
+
+def cm_ball_mesh_per_index(model, eta, n_steps, mesh_size, seed):
+    """Values (mesh_size, N+1, d) and kernel norms of cm_ball_mesh's paths,
+    one generator and one Gram factor per mesh path (eta > 0)."""
+    from roughball.gaussian import sample_rng
+    from roughball.paths import CMPath
+
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
+    d = model.dim
+    values = np.zeros((mesh_size, n_steps + 1, d))
+    norms = np.zeros(mesh_size)
+    scales = (1.0, 0.75, 0.5, 0.25)
+    kernel = np.ones(5) / 5.0
+    for k in range(1, mesh_size):
+        inc = sample_rng(seed, k).standard_normal((n_steps, d))
+        for c in range(d):
+            inc[:, c] = np.convolve(inc[:, c], kernel, mode="same")
+        vals = np.zeros((n_steps + 1, d))
+        np.cumsum(inc, axis=0, out=vals[1:])
+        cm = cameron_martin_norm_unfactored(model, CMPath(times, vals))
+        target = eta * scales[k % len(scales)]
+        values[k] = vals * (target / cm.norm)
+        norms[k] = target
+    return values, norms

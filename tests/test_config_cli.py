@@ -229,6 +229,19 @@ BAD_CHECK_ENTRIES = [
     (dict(SIDAK_2, forms=[["bilinear", [[1.0]], 0.5],
                           ["bilinear", [[1.0, 0.0], [0.0, 1.0]], 0.5]]),
      "checks[1].forms[1][1]"),
+    ({"name": "sidak", "chaos_level": 1, "cov": [[1.0, 0.0]]},
+     "checks[1].cov: covariance must be a square matrix"),
+    ({"name": "sidak", "cov": [[1.0, 0.0], [0.0, 1.0]], "thresholds": [1.0, 1.0, 1.0]},
+     "checks[1].thresholds"),
+    ({"name": "sidak", "chaos_level": 2, "cov": np.eye(3).tolist()},
+     "checks[1].cov: chaos level 2 without forms"),
+    ({"name": "sidak", "cov": [[1.0, 2.0], [2.0, 1.0]]},
+     "checks[1].cov: covariance must be positive semidefinite"),
+    ({"name": "sidak", "cov": [[1.0, 0.5], [0.4, 1.0]]},
+     "checks[1].cov: covariance must be symmetric"),
+    ({"name": "sidak", "thresholds": [1.0, 0.0]}, "checks[1].thresholds"),
+    ({"name": "sidak", "chaos_level": 2}, "checks[1].cov: chaos level 2 needs independent"),
+    ({"name": "sidak", "cov": np.eye(4).tolist(), "method": "quadrature"}, "checks[1].method"),
 ]
 
 

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    cameron_martin_norm_unfactored,
+    cm_ball_mesh_per_index,
+    cm_mesh_directions_per_radius,
+)
 from roughball import (
     CMPath,
     brownian_model,
@@ -19,6 +24,8 @@ from roughball import (
     wavelet_covariance,
     wavelet_variance,
 )
+from roughball.inequalities import _cm_mesh_directions
+from roughball.quantize import LiftedSet, cm_ball_mesh
 
 
 def test_brownian_covariance_is_min():
@@ -96,6 +103,51 @@ def test_cm_norm_rejects_path_not_at_origin():
     g = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ValueError):
         cameron_martin_norm(brownian_model(), CMPath(g, np.ones((17, 1))))
+
+
+# One Gram factor serves every drift on a grid; each norm must equal the
+# one-factor-per-drift reference bit for bit.
+CM_MODELS = {
+    "brownian_d1": lambda: brownian_model(1),
+    "fbm_d2": lambda: fbm_model(0.4, 2),
+    "custom_d2": lambda: custom_model([0.0, 0.25, 0.5, 0.75, 1.0],
+                                      [0.0, 0.3, 0.55, 0.8, 1.0], 1.2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CM_MODELS))
+def test_cm_norm_equals_unfactored_reference(name, rng):
+    model = CM_MODELS[name]()
+    g = np.linspace(0.0, model.horizon, 33)
+    for _ in range(5):
+        vals = np.zeros((g.size, model.dim))
+        vals[1:] = np.cumsum(rng.standard_normal((g.size - 1, model.dim)), axis=0)
+        h = CMPath(g, vals)
+        assert cameron_martin_norm(model, h) == cameron_martin_norm_unfactored(model, h)
+
+
+@pytest.mark.parametrize("name", sorted(CM_MODELS))
+def test_borell_mesh_directions_equal_unfactored_reference(name):
+    model = CM_MODELS[name]()
+    times = np.linspace(0.0, model.horizon, 65)
+    lams = [0.7 * scale for scale in (1.0, 0.5)]
+    got = _cm_mesh_directions(model, times, lams, 8)
+    assert len(got) == len(lams)
+    for directions, lam in zip(got, lams):
+        want = cm_mesh_directions_per_radius(model, times, lam, 8)
+        assert len(directions) == len(want) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(directions, want))
+
+
+@pytest.mark.parametrize("name", sorted(CM_MODELS))
+def test_cm_ball_mesh_equals_per_index_reference(name):
+    model = CM_MODELS[name]()
+    mesh = cm_ball_mesh(model, eta=1.3, n_steps=32, mesh_size=40, seed=6)
+    values, norms = cm_ball_mesh_per_index(model, 1.3, 32, 40, 6)
+    want = LiftedSet.from_values(mesh.lifted.times, values)
+    assert np.array_equal(mesh.lifted.B, want.B)
+    assert np.array_equal(mesh.lifted.C, want.C)
+    assert np.array_equal(mesh.cm_norms, norms)
 
 
 def test_wavelet_variance_brownian_is_unit():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import draw_increments_loop
 from roughball.gaussian import (
@@ -73,3 +75,50 @@ def test_simulate_paths_unchanged(case):
         assert np.array_equal(s.times, plan.times)
         assert np.array_equal(s.values, _per_sample_values(plan, 11, s.index))
 
+
+
+# Seeds of one, two and three 32-bit words (with the edges of each), and of
+# more, whose entropy outgrows SeedSequence's pool of four words; the iid and
+# circulant draw layouts on a small grid, so blocks past 256 are cheap.
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96]),
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96 - 1),
+    st.integers(2**96, 2**200),
+)
+SMALL_GRID = np.linspace(0.0, 1.0, 9)
+LAYOUTS = {"iid": SamplerPlan(brownian_model(2), SMALL_GRID),
+           "circulant": SamplerPlan(fbm_model(0.4, 2), SMALL_GRID)}
+
+
+@st.composite
+def _index_range(draw):
+    length = draw(st.sampled_from([0, 1, 257, 300]) | st.integers(2, 64))
+    start = draw(st.sampled_from([0, 2**32 - length]) | st.integers(0, 2**32 - length))
+    return start, start + length
+
+
+@settings(max_examples=60)
+@example(seed=0, index_range=(0, 300), layout="circulant")
+@example(seed=2**32 - 1, index_range=(2**32 - 257, 2**32), layout="iid")
+@given(seed=SEEDS, index_range=_index_range(), layout=st.sampled_from(sorted(LAYOUTS)))
+def test_block_seeding_reproduces_every_index_stream(seed, index_range, layout):
+    plan = LAYOUTS[layout]
+    assert plan.method == layout
+    start, stop = index_range
+    block = sample_path_block(plan, seed, start, stop)
+    assert block.shape == (stop - start, SMALL_GRID.size, 2)
+    for k, idx in enumerate(range(start, stop)):
+        assert np.array_equal(block[k], _per_sample_values(plan, seed, idx))
+
+
+def test_block_rejects_indices_past_one_entropy_word_and_negative_seeds():
+    plan = LAYOUTS["iid"]
+    assert sample_path_block(plan, 3, 2**32 - 1, 2**32).shape == (1, SMALL_GRID.size, 2)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        sample_path_block(plan, 3, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError, match="sample indices"):
+        sample_path_block(plan, 3, -1, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_path_block(plan, -1, 0, 2)
+    with pytest.raises(ValueError):
+        sample_rng(-1, 0)

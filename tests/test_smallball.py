@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     allpairs_norms_sample_major,
@@ -116,6 +118,23 @@ def test_dyadic_sampler_threads_and_blocks_are_invisible():
     for ens in (base, threaded):
         assert np.array_equal(ens.rough_level_max, rough)
         assert np.array_equal(ens.path_level_max, path)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(1, 700), seed=st.integers(0, 2**64), dim=st.integers(1, 3),
+       fbm=st.booleans(), variant=st.sampled_from(["sum", "sup"]), centred=st.booleans())
+def test_dyadic_sampler_is_the_same_at_one_and_two_threads(n, seed, dim, fbm, variant,
+                                                           centred):
+    model = fbm_model(0.4, dim) if fbm else brownian_model(dim)
+    centre = np.outer(np.linspace(0.0, 1.0, 17), np.ones(dim)) if centred else None
+    one, two = (sample_dyadic_level_maxima(model, n, seed, 16, variant, threads=threads,
+                                           centre=centre) for threads in (1, 2))
+    assert np.array_equal(one.rough_level_max, two.rough_level_max)
+    assert np.array_equal(one.path_level_max, two.path_level_max)
+    if centred:
+        assert np.array_equal(one.centred_level_max, two.centred_level_max)
+    else:
+        assert one.centred_level_max is None and two.centred_level_max is None
 
 
 @pytest.mark.parametrize("variant", ["sum", "sup"])

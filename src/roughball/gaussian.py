@@ -25,10 +25,12 @@ per-sample draw_increments calls whatever the block or chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve, cholesky
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 class ConditioningError(RuntimeError):
@@ -56,8 +58,8 @@ class CovarianceModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.kind == "brownian":
             pass
         elif self.kind == "fbm":
@@ -82,6 +84,8 @@ class CovarianceModel:
                 raise ValueError(f"custom_sigma2 needs rho in [1, 1.5), got {rho}")
             object.__setattr__(self, "sigma2_taus", taus)
             object.__setattr__(self, "sigma2_values", vals)
+            from scipy.interpolate import CubicSpline
+
             object.__setattr__(self, "_spline", CubicSpline(taus, vals))
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
@@ -214,6 +218,8 @@ class SamplerPlan:
                 times[:-1][:, None], times[1:][:, None],
                 times[:-1][None, :], times[1:][None, :],
             )
+            from scipy.linalg import cholesky
+
             try:
                 self._chol = cholesky(gram, lower=True)
             except np.linalg.LinAlgError as exc:
@@ -648,6 +654,8 @@ def _cm_gram_factor(model: CovarianceModel, times) -> tuple:
         s2(interior)[:, None] + s2(interior)[None, :]
         - s2(np.abs(interior[:, None] - interior[None, :]))
     )
+    from scipy.linalg import cho_factor
+
     try:
         return cho_factor(gram)
     except np.linalg.LinAlgError as exc:
@@ -660,6 +668,8 @@ def _cm_gram_factor(model: CovarianceModel, times) -> tuple:
 def _cm_norm_from_factor(factor: tuple, values) -> CameronMartinNorm:
     """Reproducing-kernel norm of drift values (N+1, d) or (N+1,) on the grid
     of a _cm_gram_factor, one component at a time."""
+    from scipy.linalg import cho_solve
+
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]

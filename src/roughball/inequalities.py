@@ -12,7 +12,9 @@ cameron_martin): ``_exact_report`` for a claim whose sides are both exact
 (sidak quadrature, the Borell half-space) and ``_proportion_report`` for a
 Monte-Carlo proportion hits / n against an exact right side, with a Wilson
 interval and a binomial standard error unless the check supplies its own.
-Normal probabilities come from ``scipy.special`` (``ndtr``, ``ndtri``).
+Normal probabilities come from ``scipy.special`` (``ndtr``, ``ndtri``),
+imported by the functions that call them so that importing this module
+loads no scipy.
 
 Reports are data objects with a ``to_dict`` form; the runner formats and
 writes the report artifacts.  ``config.resolve_checks`` validates a
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT
 from .gaussian import (
@@ -267,6 +268,8 @@ def _gaussian_box_probability(cov: np.ndarray, thresholds: np.ndarray,
 
 
 def _interval_probability(eps: float, sigma: float) -> float:
+    from scipy.special import ndtr
+
     return float(2.0 * ndtr(eps / sigma) - 1.0)
 
 
@@ -437,6 +440,8 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     exact equality case and is evaluated analytically; the box case compares
     a Monte-Carlo left side with the exact right side.
     """
+    from scipy.special import ndtr, ndtri
+
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     kind, param = set_spec
@@ -496,6 +501,8 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
     therefore never reported violated: a negative margin beyond noise is
     'inconclusive' with a mesh-slack note.
     """
+    from scipy.special import ndtr, ndtri
+
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:

@@ -472,6 +472,12 @@ def _check_same_grid(x: GridRoughPath, y: GridRoughPath):
         raise ValueError("paths must share the same time grid")
 
 
+def _check_holder_alpha(alpha: float) -> None:
+    """The Hölder exponents of grid distances and bounds: alpha in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def holder_distance(
     x: GridRoughPath,
     y: GridRoughPath,
@@ -486,8 +492,7 @@ def holder_distance(
     to adjacent dyadic pairs at every level, a cheap lower bound.
     """
     _check_same_grid(x, y)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_holder_alpha(alpha)
     v = _resolve_variant(variant)
     i_all, j_all = _resolve_pairs(x, pair_set)
     weights = (x.times[j_all] - x.times[i_all]) ** alpha
@@ -543,8 +548,7 @@ def _lemma_depths(times: np.ndarray, alpha: float, eps: float) -> tuple[int, int
     if not np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * T):
         raise ValueError("needs a uniform grid")
     L = n_steps.bit_length() - 1
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_holder_alpha(alpha)
     ratio = T / eps
     e = int(round(np.log2(ratio)))
     if e < 1 or e >= L or abs(ratio - 2.0**e) > 1e-9 * ratio:

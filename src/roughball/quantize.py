@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.special import ndtr, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import (
@@ -29,9 +26,9 @@ from .gaussian import (
     _index_streams,
     sample_path_block,
 )
-from .paths import (GridRoughPath, _chunk_bounds, _component_difference,
-                    _component_major, _component_norms, _dyadic_pairs, _gathered_increments,
-                    batch_prefix)
+from .paths import (GridRoughPath, _check_holder_alpha, _chunk_bounds,
+                    _component_difference, _component_major, _component_norms,
+                    _dyadic_pairs, _gathered_increments, batch_prefix)
 from .smallball import SBPCurve
 
 
@@ -145,6 +142,7 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
         raise ValueError("both sets must share one grid")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    _check_holder_alpha(alpha)
     v = _resolve_variant(variant)
     bx, cx = x.dyadic_increments()
     by, cy = y.dyadic_increments()
@@ -387,6 +385,8 @@ def entropy_bounds_from_sbp(b_hat: SBPCurve | SBPTransform, eta: float, eps: flo
     The dilation identity h(eps, dilated-by-eta ball) = h(eps/eta, unit ball)
     is echoed in the result for re-expression at eta = 1.
     """
+    from scipy.special import ndtr, ndtri
+
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     tr = b_hat if isinstance(b_hat, SBPTransform) else SBPTransform(b_hat)
@@ -662,12 +662,19 @@ def empirical_measures(model: CovarianceModel, atoms: LiftedSet, m_weights: int,
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float,
                 variant: str = DEFAULT_NORM_VARIANT,
                 cost_matrix: np.ndarray | None = None) -> float:
-    """Exact W_r between finitely supported measures (cost = distance^r).
+    """W_r between finitely supported measures (cost = distance^r).
 
-    Solved as the transport linear program with sparse marginal constraints;
-    supports up to 4096 combined atoms.  cost_matrix overrides the distance
-    computation when the caller has it already.
+    Solved by HiGHS as the transport linear program with sparse marginal
+    constraints, so the transport cost is optimal to HiGHS's default
+    tolerance, about 1e-8 absolute, not exact.  Supports up to 4096 combined
+    atoms.  cost_matrix overrides the distance computation when the caller
+    has it already.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     m, n = mu.atoms.size, nu.atoms.size
     if m + n > 4096:
         raise ValueError(f"combined support {m + n} exceeds the 4096-atom limit")

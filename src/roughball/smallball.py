@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, gammainc, ndtri
 
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
 from .paths import (
+    _check_holder_alpha,
     _chunk_bounds,
     _component_norms,
     _component_prefix,
@@ -41,7 +41,9 @@ NORM_KINDS = (
     "rough_holder_lemma_bound",
 )
 
-_Z95 = ndtri(0.975)
+# scipy.special.ndtri(0.975), written out so that importing this module loads
+# no scipy; a test pins the two equal bit for bit.
+_Z95 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,8 @@ def rd_gaussian_small_ball(d: int, eps, norm: str = "l2"):
     l2 uses the chi-square CDF, linf the product of coordinate CDFs.
     Vectorized over eps.
     """
+    from scipy.special import erf, gammainc
+
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     eps = np.asarray(eps, dtype=float)
@@ -77,6 +81,8 @@ def erf_lower_bounds(s: float, t: float) -> dict:
     t >= 1.  Each applicable bound is checked and a violation (there should
     never be one) is flagged.
     """
+    from scipy.special import erf
+
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
     if t < 0:
@@ -192,13 +198,19 @@ class SBPCurve:
         return cls(**data)
 
 
+def _eps_grid(eps_list) -> np.ndarray:
+    """eps_list as a float array, after checking that it is nonempty and positive."""
+    eps = np.asarray(eps_list, dtype=float)
+    if eps.size == 0 or not np.all(eps > 0):
+        raise ValueError(f"eps_list must be nonempty and positive, got {eps_list}")
+    return eps
+
+
 def curve_from_norms(norms, eps_list, alpha: float, norm_kind: str, model: str,
                      seed: int) -> SBPCurve:
     """Build a curve from one norm sample via the sorted-rank estimator."""
     norms = np.sort(np.asarray(norms, dtype=float))
-    eps = np.asarray(eps_list, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    eps = _eps_grid(eps_list)
     n = norms.size
     counts = np.searchsorted(norms, eps, side="left")
     p_hat = counts / n
@@ -302,6 +314,8 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     result independent of the blocking, so threaded and serial runs produce
     bit-identical ensembles (blocks write disjoint rows).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
     levels = n_steps.bit_length() - 1
@@ -392,8 +406,7 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
 
 def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:
     if norm_kind == "path_holder":
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1] for path norms, got {alpha}")
+        _check_holder_alpha(alpha)
         return
     upper = 1.0 / (2.0 * model.rho)
     if not (1.0 / 3.0 < alpha < upper):
@@ -407,6 +420,9 @@ def estimate_sbp_curve(model: CovarianceModel, alpha: float, norm_kind: str, eps
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     _check_alpha(model, alpha, norm_kind)
+    _eps_grid(eps_list)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if norm_kind in ("rough_holder_dyadic", "path_holder"):
         ens = sample_dyadic_level_maxima(model, n_samples, master_seed, n_steps, variant,
                                          threads=threads)

@@ -99,6 +99,14 @@ def test_cm_norm_of_kernel_slice():
     assert vals[-1] == pytest.approx(np.sqrt(s0), abs=2e-3)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_models_reject_bad_horizons(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        brownian_model(horizon=horizon)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        fbm_model(0.4, horizon=horizon)
+
+
 def test_cm_norm_rejects_path_not_at_origin():
     g = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ValueError):

@@ -1,15 +1,9 @@
 """Correlation and shift inequality checks and their report plumbing."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtr, ndtri
-
-import roughball
 
 from roughball import (
     CMPath,
@@ -147,15 +141,6 @@ def test_normal_functions_match_scipy_stats_bit_for_bit():
     for ours, theirs in ((ndtr(x), stats.norm.cdf(x)), (ndtri(q), stats.norm.ppf(q)),
                          (_normal_pdf(x), stats.norm.pdf(x))):
         assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
-
-
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(roughball.__file__)))
-    code = "import sys, roughball; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
 
 
 def test_reports_csv_layout(tmp_path):

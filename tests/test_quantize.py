@@ -126,6 +126,16 @@ def test_pairwise_rejects_dimension_mismatch():
         pairwise_distance(xs, ys, alpha=0.4)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, 0.0, -0.4, 1.5])
+def test_pairwise_rejects_alpha_outside_unit_interval(alpha):
+    # the rule of holder_distance: alpha in (0, 1]
+    xs = _brownian_set(3, 1, n_steps=16)
+    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\]"):
+        pairwise_distance(xs, xs, alpha)
+    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\]"):
+        holder_distance(xs.path(0), xs.path(1), alpha)
+
+
 # ------------------------------------------------------------------- covering
 
 
@@ -278,6 +288,13 @@ def test_quantization_error_reports_bound():
 
 
 # ------------------------------------------------------------------ transport
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+def test_wasserstein_rejects_bad_order(r):
+    mu = DiscreteMeasure(embed_constant_increment(np.array([[0.0], [1.0]])), np.full(2, 0.5))
+    with pytest.raises(ValueError, match="r must be positive"):
+        wasserstein(mu, mu, r, 0.4)
 
 
 def test_weights_must_sum_to_one():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from oracles import (
     allpairs_norms_sample_major,
@@ -24,9 +25,12 @@ from roughball import (
     sample_dyadic_level_maxima,
     wilson_interval,
 )
+from roughball import paths, smallball
 from roughball.gaussian import SamplerPlan, sample_path_block
 from roughball.paths import dyadic_level_maxima
+from roughball.quantize import LiftedSet, pairwise_distance
 from roughball.smallball import (
+    _Z95,
     curve_from_norms,
     sample_allpairs_norms,
     sample_lemma_bound_norms,
@@ -65,6 +69,11 @@ def test_erf_bounds_hold_everywhere():
     scan = erf_bound_scan(n_s=40, n_t=40)
     assert scan["violations"] == 0
     assert scan["min_margin"] >= 0.0
+
+
+def test_z95_is_scipy_ndtri_bit_for_bit():
+    assert type(_Z95) is float
+    assert _Z95 == ndtri(0.975)
 
 
 def test_wilson_interval_properties():
@@ -118,6 +127,56 @@ def test_dyadic_sampler_threads_and_blocks_are_invisible():
     for ens in (base, threaded):
         assert np.array_equal(ens.rough_level_max, rough)
         assert np.array_equal(ens.path_level_max, path)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"eps_list": []}, "eps_list"),
+    ({"eps_list": [1.0, np.nan]}, "eps_list"),
+    ({"eps_list": [-1.0, 1.0]}, "eps_list"),
+    ({"n_samples": 0}, "n_samples"),
+    ({"n_samples": -1}, "n_samples"),
+])
+@pytest.mark.parametrize("norm_kind", ["rough_holder_dyadic", "rough_holder_allpairs"])
+def test_estimate_sbp_curve_rejects_bad_arguments(kwargs, name, norm_kind):
+    call = dict(eps_list=[1.0, 2.0], n_samples=8, master_seed=0, n_steps=16)
+    call.update(kwargs)
+    with pytest.raises(ValueError, match=name):
+        estimate_sbp_curve(brownian_model(), 0.4, norm_kind, **call)
+
+
+def test_dyadic_sampler_rejects_bad_sample_counts():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_dyadic_level_maxima(brownian_model(), n, 0, n_steps=16)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), dim=st.integers(1, 3),
+       fbm=st.booleans(), variant=st.sampled_from(["sum", "sup"]),
+       chunk_floats=st.integers(1, 4096), block=st.integers(1, 300))
+def test_kernel_chunks_and_sample_blocks_change_no_result(seed, n, dim, fbm, variant,
+                                                          chunk_floats, block):
+    model = fbm_model(0.4, dim) if fbm else brownian_model(dim)
+    times = np.linspace(0.0, 1.0, 17)
+    centre = np.outer(np.sin(3.0 * times), np.ones(dim))
+    values = sample_path_block(SamplerPlan(model, times), seed, 0, n)
+
+    def results():
+        ens = sample_dyadic_level_maxima(model, n, seed, 16, variant, centre=centre)
+        xs = LiftedSet.from_values(times, values)
+        ys = LiftedSet.from_values(times, values[: n // 2 + 1])
+        return (ens.rough_level_max, ens.path_level_max, ens.centred_level_max,
+                *dyadic_level_maxima(values, variant)[:2],
+                *dyadic_level_maxima(values, variant, centre=centre),
+                pairwise_distance(xs, ys, 0.4, variant))
+
+    default = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_KERNEL_CHUNK_FLOATS", chunk_floats)
+        mp.setattr(smallball, "_SAMPLE_BLOCK", block)
+        small = results()
+    for want, got in zip(default, small, strict=True):
+        assert np.array_equal(want, got)
 
 
 @settings(max_examples=15)

@@ -13,6 +13,7 @@ space) convert a Monte-Carlo curve into entropy and quantization bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,11 +330,14 @@ class SBPTransform:
     linearly in log-log coordinates.  Evaluation is restricted to the range
     where the curve resolves: below the smallest usable eps the transform
     raises (resolution floor), as does inversion above the largest resolved
-    value.
+    value.  The curve's eps grid and Wilson upper limits are kept for bounds
+    past that floor.
     """
 
     def __init__(self, curve: SBPCurve):
         order = np.argsort(curve.eps)
+        self.curve_eps = curve.eps[order]
+        self.curve_ci_high = curve.ci_high[order]
         p = _isotonic_nondecreasing(curve.p_hat[order])
         usable = (p > 0.0) & (p < 1.0)
         if int(usable.sum()) < 2:
@@ -589,8 +593,11 @@ def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = N
     """Out-of-sample distortion and the curve-derived lower bound.
 
     E_hat is the r-th-power mean min-distance over fresh samples.  When a
-    small-ball curve is supplied, the lower bound inverts -log p at log(2n);
-    the bound claim E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.
+    small-ball curve is supplied, the lower bound inverts -log p at log(2n).
+    Where log(2n) lies above the resolved curve, the bound is the largest
+    curve eps whose Wilson upper limit is at most 1/(2n): p <= 1/(2n) there
+    at 95%, so the bound stays conservative.  The bound claim
+    E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.
     """
     if r is None:
         r = codebook.order
@@ -610,7 +617,17 @@ def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = N
     }
     if sbp_curve is not None:
         tr = sbp_curve if isinstance(sbp_curve, SBPTransform) else SBPTransform(sbp_curve)
-        bound = tr.inverse(float(np.log(2.0 * codebook.n_centers)))
+        target = float(np.log(2.0 * codebook.n_centers))
+        if np.log(target) <= tr.log_b[0] + 1e-12:
+            bound = tr.inverse(target)
+        else:
+            below = tr.curve_eps[tr.curve_ci_high <= 0.5 / codebook.n_centers]
+            if below.size == 0:
+                raise ValueError(
+                    f"target {target:g} exceeds the resolved curve maximum "
+                    f"{tr.b_range[1]:g} and no curve point has p <= 1/(2n) at 95% "
+                    "(resolution floor)")
+            bound = float(below[-1])
         out["lower_bound"] = bound
         out["holds_within_slack"] = bool(e_hat >= bound - 4.0 * se_e)
     return out
@@ -659,20 +676,170 @@ def empirical_measures(model: CovarianceModel, atoms: LiftedSet, m_weights: int,
     return {"weighted": weighted, "uniform": uniform}
 
 
+def _transport_cost(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+    """Minimal sum of flow x cost over plans with the given marginals.
+
+    A transportation simplex on the bipartite tree of rows (nodes 0..m-1) and
+    columns (nodes m..m+n-1), rooted at the last column; cell (i, j) carries
+    flow from row i to column j.  The tree stays strongly feasible: every
+    zero-flow cell hangs its row below its column, so flow runs towards the
+    root.  That makes Cunningham's leaving rule (the last blocking cell met
+    from the apex along the cycle) anti-cycling whatever cell enters.
+
+    - Lines of zero weight carry no flow and are dropped first: a zero-weight
+      column that is not the root hangs from a row by a zero-flow cell that
+      points away from the root, so no tree keeping it is strongly feasible.
+    - The start is the matrix-minimum tree of a perturbed problem: each row
+      supplies epsilon more, each other column takes epsilon less and the
+      root column takes the rest.  Remaining weights are compared as (weight,
+      epsilon count) pairs, so each allocation closes one line and the tree
+      comes out strongly feasible.
+    - Each pivot enters the first most negative reduced cost and shifts the
+      potentials of the subtree it re-hangs, and only those.
+    """
+    rows = np.flatnonzero(supply > 0)
+    cols = np.flatnonzero(demand > 0)
+    cost = cost[np.ix_(rows, cols)]
+    m, n = cost.shape
+    nodes = m + n
+    root = nodes - 1
+
+    left = [(w, 1) for w in supply[rows].tolist()] + [(w, -1) for w in demand[cols].tolist()]
+    left[root] = (left[root][0], nodes - 1)
+    is_open = [True] * nodes
+    rows_left, cols_left = m, n
+    adj = [[] for _ in range(nodes)]
+    flow = {}
+    order = np.argsort(cost, axis=None, kind="stable")
+    for i, col in zip((order // n).tolist(), (order % n + m).tolist()):
+        if not (is_open[i] and is_open[col]):
+            continue
+        s, d = left[i], left[col]
+        x = s if s < d else d
+        left[i] = (s[0] - x[0], s[1] - x[1])
+        left[col] = (d[0] - x[0], d[1] - x[1])
+        flow[i, col] = x[0]
+        adj[i].append(col)
+        adj[col].append(i)
+        if rows_left == 1 and cols_left == 1:
+            break
+        # the last open row (column) closes columns (rows) whatever the
+        # rounding of the weights left, so the tree gets m + n - 1 cells
+        if rows_left > 1 and (cols_left == 1 or s < d):
+            is_open[i] = False
+            rows_left -= 1
+        else:
+            is_open[col] = False
+            cols_left -= 1
+
+    # hang the tree from the root; up[a] is the flow of the cell joining a to
+    # its parent; pot holds u_i for rows and -v_j for columns, with
+    # u_i + v_j = c_ij on tree cells and v = 0 at the root
+    parent = [-1] * nodes
+    depth = [0] * nodes
+    up = [0.0] * nodes
+    pot = [0.0] * nodes
+    stack = [root]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b], depth[b] = a, depth[a] + 1
+                if b < m:
+                    up[b] = flow[b, a]
+                    pot[b] = cost.item(b, a - m) + pot[a]
+                else:
+                    up[b] = flow[a, b]
+                    pot[b] = pot[a] - cost.item(a, b - m)
+                stack.append(b)
+    pot = np.array(pot)
+    u, minus_v = pot[:m], pot[m:]
+
+    tol = -1e-12 * max(1.0, float(np.abs(cost).max()))
+    reduced = np.empty_like(cost)
+    # a strongly feasible tree cannot cycle, so the cap only stops a stall
+    # that rounding could cause; the benchmark's problems (96 x 8 to 96 x 32)
+    # take about 70 pivots on average
+    max_pivots = 20 * m * n + 100
+    for _ in range(max_pivots):
+        np.subtract(cost, u[:, None], out=reduced)
+        reduced += minus_v
+        k = int(reduced.argmin())
+        delta = float(reduced.flat[k])
+        if delta >= tol:
+            break
+        p, q = divmod(k, n)
+        q += m
+        # the tree paths from p and from q up to their apex
+        p_path, q_path = [], []
+        a, b = p, q
+        while depth[a] > depth[b]:
+            p_path.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            q_path.append(b)
+            b = parent[b]
+        while a != b:
+            p_path.append(a)
+            q_path.append(b)
+            a, b = parent[a], parent[b]
+        # the cycle runs apex -> p -> q -> apex and theta more flows p -> q;
+        # the cells it runs against (rows' cells on p's side, columns' on q's)
+        # shrink, and the last of them to reach zero leaves
+        theta, leave, on_p = np.inf, -1, True
+        for a in reversed(p_path):
+            if a < m and up[a] <= theta:
+                theta, leave = up[a], a
+        for b in q_path:
+            if b >= m and up[b] <= theta:
+                theta, leave, on_p = up[b], b, False
+        if theta > 0.0:
+            for a in p_path:
+                up[a] += -theta if a < m else theta
+            for b in q_path:
+                up[b] += theta if b < m else -theta
+        # re-hang the subtree below the leaving cell from the entering cell:
+        # the path up to the leaving cell reverses, its flows move down a node
+        old = parent[leave]
+        adj[leave].remove(old)
+        adj[old].remove(leave)
+        adj[p].append(q)
+        adj[q].append(p)
+        start, attach, path = (p, q, p_path) if on_p else (q, p, q_path)
+        carried = theta
+        for a in path:
+            carried, up[a] = up[a], carried
+            if a == leave:
+                break
+        parent[start], depth[start] = attach, depth[attach] + 1
+        moved = [start]
+        for a in moved:
+            for b in adj[a]:
+                if b != parent[a]:
+                    parent[b], depth[b] = a, depth[a] + 1
+                    moved.append(b)
+        # u + v stays on the moved subtree's cells and the entering cell's
+        # reduced cost becomes zero
+        pot[moved] += delta if start < m else -delta
+    else:
+        raise RuntimeError(f"transport simplex did not converge in {max_pivots} pivots")
+
+    # one rounding of the exact sum, whatever the order of the tree's cells
+    return math.fsum(up[a] * (cost.item(a, parent[a] - m) if a < m
+                              else cost.item(parent[a], a - m)) for a in range(root))
+
+
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float,
                 variant: str = DEFAULT_NORM_VARIANT,
                 cost_matrix: np.ndarray | None = None) -> float:
     """W_r between finitely supported measures (cost = distance^r).
 
-    Solved by HiGHS as the transport linear program with sparse marginal
-    constraints, so the transport cost is optimal to HiGHS's default
-    tolerance, about 1e-8 absolute, not exact.  Supports up to 4096 combined
-    atoms.  cost_matrix overrides the distance computation when the caller
-    has it already.
+    Solved exactly by a transportation simplex: the optimal plan is a
+    spanning tree of at most m + n - 1 cells, and its cost is summed with
+    one rounding (math.fsum), so the same input always gives the same
+    float.  Supports up to 4096 combined atoms.  cost_matrix overrides the
+    distance computation when the caller has it already.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
     if not 0.0 < r < np.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
     m, n = mu.atoms.size, nu.atoms.size
@@ -683,19 +850,9 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float
     cost = np.asarray(cost_matrix, dtype=float)
     if cost.shape != (m, n):
         raise ValueError("cost matrix shape mismatch")
-
-    # marginal constraints: row sums = mu.weights, column sums = nu.weights
-    flat = np.arange(m * n)
-    rows = np.concatenate([np.repeat(np.arange(m), n), np.repeat(np.arange(m, m + n), m)])
-    cols = np.concatenate([flat, flat.reshape(m, n).T.ravel()])
-    a_eq = sparse.csr_matrix(
-        (np.ones(2 * m * n), (rows, cols)), shape=(m + n, m * n)
-    )
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport solve failed: {res.message}")
-    total = float(res.fun)
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
+    total = _transport_cost(cost, mu.weights, nu.weights)
     return max(total, 0.0) ** (1.0 / r)
 
 

@@ -12,6 +12,10 @@ The tests rerun them and require identical digests.  An artifact may change
 only in a deliberate re-baseline, which regenerates the file with
 
     PYTHONPATH=src python3 tests/golden.py
+
+Before it rewrites the file, it prints each run whose digests differ from
+the committed ones, with the files that changed, so the scope of a
+re-baseline shows in one listing.
 """
 
 import hashlib
@@ -78,6 +82,17 @@ def version_mismatch(golden: dict) -> str | None:
             f"{scipy.__version__}")
 
 
+def changed_files(old: dict, new: dict) -> list:
+    """(run key, changed file names) for each run whose digests differ."""
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, {}), new.get(key, {})
+        names = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
+        if names:
+            out.append((key, names))
+    return out
+
+
 def main() -> None:
     from roughball.runner import run
 
@@ -88,6 +103,11 @@ def main() -> None:
             run(config, out_dir=out, threads=1)
             runs[key] = digests(out)
             print(key, file=sys.stderr)
+    committed = load()["runs"] if os.path.exists(GOLDEN_PATH) else {}
+    changes = changed_files(committed, runs)
+    print(f"{len(changes)} of {len(runs)} runs changed")
+    for key, names in changes:
+        print(f"{key}: {', '.join(names)}")
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump({**versions(), "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")

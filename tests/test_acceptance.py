@@ -391,15 +391,15 @@ def test_criterion_09_transport_exactness(capsys):
         axiom_worst = max(axiom_worst, abs(d_ab - d_ba), d_aa,
                           d_ac - (d_ab + d_bc))
     elapsed = time.perf_counter() - t0
-    ok = (worst <= 1e-9 and quantile_worst <= 1e-9 and axiom_worst <= 1e-9
+    ok = (worst <= 1e-12 and quantile_worst <= 1e-12 and axiom_worst <= 1e-12
           and elapsed < 30.0)
     _report(capsys, "9", ok,
             f"1000 instances vs enumeration {worst:.1e}; sorted-coupling "
             f"cross-check {quantile_worst:.1e}; metric axioms {axiom_worst:.1e} "
-            f"(tol 1e-9); {elapsed:.1f}s")
-    assert worst <= 1e-9
-    assert quantile_worst <= 1e-9
-    assert axiom_worst <= 1e-9
+            f"(tol 1e-12); {elapsed:.1f}s")
+    assert worst <= 1e-12
+    assert quantile_worst <= 1e-12
+    assert axiom_worst <= 1e-12
     assert elapsed < 30.0
 
 

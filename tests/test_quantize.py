@@ -1,11 +1,16 @@
 """Lifted sample sets, covers, entropy bounds, codebooks, transport, rates."""
 
+import csv
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_transport, pairwise_distance_loop
+import golden
+from oracles import brute_force_transport, highs_transport, pairwise_distance_loop
 from roughball import (
     CMPath,
     DiscreteMeasure,
@@ -27,6 +32,7 @@ from roughball import (
     quantization_error,
     wasserstein,
 )
+from roughball.runner import run
 from roughball.smallball import synthetic_curve
 
 
@@ -287,6 +293,33 @@ def test_quantization_error_reports_bound():
     assert no_bound.get("lower_bound") is None
 
 
+def test_quantization_bound_past_the_resolution_floor():
+    # log(2 * 8) lies above the resolved -log p range (2.30 at eps 2): the
+    # bound falls back to the largest eps with a Wilson upper limit <= 1/16
+    eps = [1.0, 1.5, 2.0, 3.0, 4.0]
+    cb = lloyd_codebook(_brownian_set(40, 31), 8, seed=3, mode="medoid")
+    fresh = _brownian_set(50, 37)
+    floor = synthetic_curve(eps, [0.0, 0.0, 0.1, 0.5, 0.9])
+    assert quantization_error(cb, fresh, sbp_curve=floor)["lower_bound"] == 1.5
+    unresolved = synthetic_curve(eps, [0.07, 0.08, 0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="resolution floor"):
+        quantization_error(cb, fresh, sbp_curve=unresolved)
+
+
+def test_quantize_stage_completes_past_the_resolution_floor(tmp_path):
+    # this seed's curve has no hits up to eps 1.188 and p_hat 0.01625 at
+    # 1.356, so -log p resolves only up to 4.12 < log(2 * 32)
+    path = os.path.join(golden.ROOT, "perfbench", "configs", "quantize_transport.quantize.json")
+    with open(path, encoding="utf-8") as fh:
+        config = dict(json.load(fh), seed=602217019)
+    run(config, out_dir=str(tmp_path), threads=1)
+    with open(tmp_path / "quantize.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["holds_within_slack"] for row in rows] == ["True"] * 3
+    bounds = {int(row["n"]): float(row["lower_bound"]) for row in rows}
+    assert bounds == {4: 1.584333217248184, 16: 1.413292462341551, 32: 1.1882960774982871}
+
+
 # ------------------------------------------------------------------ transport
 
 
@@ -336,6 +369,40 @@ def test_transport_cost_matrix_override(rng):
     nu = DiscreteMeasure(b, np.array([0.5, 0.5]))
     flat = wasserstein(mu, nu, r=1.0, alpha=0.4, cost_matrix=np.ones((2, 2)))
     assert flat == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wasserstein_rejects_non_finite_cost(bad):
+    mu = DiscreteMeasure(embed_constant_increment(np.array([[0.0], [1.0]])), np.full(2, 0.5))
+    cost = np.ones((2, 2))
+    cost[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        wasserstein(mu, mu, 1.0, 0.4, cost_matrix=cost)
+
+
+def _benchmark_sized_measures(seed, n):
+    """96 uniform reference atoms against n atoms with multinomial weights."""
+    rng = np.random.default_rng(seed)
+    ref = DiscreteMeasure(_brownian_set(96, seed, n_steps=16), np.full(96, 1 / 96))
+    counts = rng.multinomial(500, rng.dirichlet(np.ones(n))).astype(float)
+    return ref, DiscreteMeasure(_brownian_set(n, seed + 1, n_steps=16), counts / counts.sum())
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_transport_at_benchmark_size_matches_highs(seed):
+    ref, atoms = _benchmark_sized_measures(seed, 32)
+    cost = pairwise_distance(ref.atoms, atoms.atoms, 0.4)
+    got = wasserstein(ref, atoms, 1.0, 0.4, cost_matrix=cost)
+    want = highs_transport(cost, ref.weights, atoms.weights)
+    # HiGHS stops within its tolerance above the optimum, never below it
+    assert got <= want + 1e-12 * cost.max()
+    assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_transport_gives_the_same_float_on_every_call():
+    ref, atoms = _benchmark_sized_measures(6, 32)
+    first = wasserstein(ref, atoms, 2.0, 0.4)
+    assert all(wasserstein(ref, atoms, 2.0, 0.4) == first for _ in range(3))
 
 
 def test_transport_triangle_inequality(rng):
@@ -425,6 +492,33 @@ def test_transport_matches_enumeration_oracle_on_lifted_atoms(seed, sizes, dim, 
     nu = DiscreteMeasure(_random_set(seed + 1, n, dim, 4), rng.dirichlet(np.ones(n)))
     cost = pairwise_distance(mu.atoms, nu.atoms, 0.4) ** r
     want = brute_force_transport(cost, mu.weights, nu.weights)
-    # HiGHS stops within its default optimality tolerance, which scales with
-    # the costs: over 1500 such instances the worst gap was 2.1e-9 max(cost)
-    assert abs(wasserstein(mu, nu, r, 0.4) ** r - want) <= 1e-8 * cost.max()
+    assert abs(wasserstein(mu, nu, r, 0.4) ** r - want) <= 1e-12 * cost.max()
+
+
+def _weights(draw, size):
+    """Weights with zeros, ties and uniform cases: integer counts, normalised."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, size - 1))] = 1
+    return np.array(counts, dtype=float) / sum(counts)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), sizes=st.integers(1, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, 7 - m))),
+    ties=st.sampled_from(["integer", "equal", "real"]))
+def test_transport_matches_enumeration_oracle_on_degenerate_inputs(data, sizes, ties):
+    m, n = sizes
+    if ties == "equal":
+        cost = np.full((m, n), data.draw(st.floats(0.0, 3.0)))
+    else:
+        values = st.integers(0, 3) if ties == "integer" else st.floats(-2.0, 2.0)
+        cost = np.array(data.draw(st.lists(values, min_size=m * n, max_size=m * n)),
+                        dtype=float).reshape(m, n)
+    mu_w = np.full(m, 1.0 / m) if data.draw(st.booleans()) else _weights(data.draw, m)
+    nu_w = np.full(n, 1.0 / n) if data.draw(st.booleans()) else _weights(data.draw, n)
+    mu = DiscreteMeasure(embed_constant_increment(np.arange(m, dtype=float)), mu_w)
+    nu = DiscreteMeasure(embed_constant_increment(np.arange(n, dtype=float)), nu_w)
+    want = brute_force_transport(cost, mu_w, nu_w)
+    got = wasserstein(mu, nu, 1.0, 0.4, cost_matrix=cost)
+    assert abs(max(want, 0.0) - got) <= 1e-12 * max(1.0, np.abs(cost).max())

@@ -1,9 +1,10 @@
 """Which scipy modules the package loads, each case in a fresh interpreter.
 
 Importing roughball, parsing and building every shipped config and planning
-its sampler load no scipy, and neither does a small-ball run.  An inequality
-run loads scipy.special and scipy.linalg, in the checks that call them, and
-no other scipy subpackage.  Two check threads may import those two for the
+its sampler load no scipy.  Neither do a small-ball run, nor a quantize run
+followed by an empirical-rate run, whose transport simplex is numpy.  An
+inequality run loads scipy.special and scipy.linalg, in the checks that call
+them, and no other scipy subpackage.  Two check threads may import those two for the
 first time at once, so that run is also compared with its golden digests.
 """
 
@@ -59,6 +60,16 @@ def test_small_ball_run_loads_no_scipy():
     code = """
 with tempfile.TemporaryDirectory() as out:
     run(bench_config("sbp_fbm_2d"), out_dir=out, threads=2)
+print(json.dumps(loaded()))
+"""
+    assert _child(code) == []
+
+
+def test_quantize_and_empirical_runs_load_no_scipy():
+    code = """
+for stage in ("quantize_transport.quantize", "quantize_transport.empirical"):
+    with tempfile.TemporaryDirectory() as out:
+        run(bench_config(stage), out_dir=out, threads=2)
 print(json.dumps(loaded()))
 """
     assert _child(code) == []

@@ -20,6 +20,10 @@ applies the plan's transform to a chunk of samples at once (one FFT call per
 chunk in the circulant route).  Every step of the transform is elementwise, a
 per-row FFT or a per-sample product, so a block draw is bit-identical to
 per-sample draw_increments calls whatever the block or chunk size.
+
+parallel_map is the one thread pool and returns results in input order;
+map_sample_blocks, the one Monte-Carlo loop, maps a reduction over blocks of
+_SAMPLE_BLOCK paths through it, so no worker writes to shared state.
 """
 
 from __future__ import annotations
@@ -424,6 +428,31 @@ def sample_path_block(plan: SamplerPlan, master_seed: int, start: int, stop: int
         plan._transform(z, inc[lo:hi])
     np.cumsum(inc, axis=1, out=inc)
     return values
+
+
+_SAMPLE_BLOCK = 256  # samples per block of map_sample_blocks, one worker task each
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] in input order, on at most `threads` worker threads,
+    or inline when threads <= 1 or there is at most one item.  fn's errors propagate."""
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def map_sample_blocks(plan: SamplerPlan, master_seed: int, n: int, fn, threads: int = 1) -> list:
+    """fn(values) for each block of _SAMPLE_BLOCK sample indices in [0, n), in index
+    order, where values = sample_path_block(plan, master_seed, start, stop)."""
+    return parallel_map(
+        lambda start: fn(sample_path_block(plan, master_seed, start,
+                                           min(start + _SAMPLE_BLOCK, n))),
+        range(0, n, _SAMPLE_BLOCK), threads)
 
 
 def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int):

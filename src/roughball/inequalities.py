@@ -34,11 +34,11 @@ from .gaussian import (
     _cm_gram_factor,
     _cm_norm_from_factor,
     cameron_martin_norm,
-    sample_path_block,
+    map_sample_blocks,
     sample_rng,
 )
 from .paths import CMPath, dyadic_level_maxima
-from .smallball import _SAMPLE_BLOCK, sample_dyadic_level_maxima, wilson_interval
+from .smallball import sample_dyadic_level_maxima, wilson_interval
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
 
@@ -86,6 +86,11 @@ def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> 
     if margin >= -4.0 * pooled_se:
         return "holds_within_noise"
     return "violated"
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 def _exact_report(name, lhs, rhs, config, notes=(), extras=None) -> InequalityReport:
@@ -302,6 +307,9 @@ def check_sidak(cov_matrix, thresholds, chaos_level: int = 1, method: str = "aut
     Estimated by Monte Carlo on common samples with an influence-function
     standard error for the joint-minus-product margin.
     """
+    if method not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
+    _check_n(n)
     cov = _validate_cov(cov_matrix)
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds <= 0):
@@ -442,8 +450,11 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     """
     from scipy.special import ndtr, ndtri
 
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_n(n)
     kind, param = set_spec
     config = {"dimension": dimension, "set": kind, "param": param, "lam": lam,
               "n": n, "seed": seed}
@@ -503,8 +514,11 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
     """
     from scipy.special import ndtr, ndtri
 
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_n(n)
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     times = np.linspace(0.0, model.horizon, n_steps + 1)
@@ -517,22 +531,16 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
             meshes.append(-vals)
     span_pow = (model.horizon * 0.5 ** np.arange(n_steps.bit_length())) ** alpha
 
-    in_a = np.empty(n, dtype=bool)
-    enlarged = np.zeros(n, dtype=bool)
-    for start in range(0, n, _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, n)
-        values = sample_path_block(plan, seed, start, stop)
-        hit = np.zeros(stop - start, dtype=bool)
-        for m, h_vals in enumerate(meshes):
-            # translating a piecewise-linear lift by a grid drift is the lift
-            # of the shifted path, so shift the values and re-lift
-            lmax, _, _ = dyadic_level_maxima(values - h_vals[None], variant)
-            norms = np.max(lmax / span_pow, axis=1)
-            inside = norms < eps
-            if m == 0:
-                in_a[start:stop] = inside
-            hit |= inside
-        enlarged[start:stop] = hit
+    def block_inside(values):
+        # translating a piecewise-linear lift by a grid drift is the lift of
+        # the shifted path, so shift the values and re-lift; one row per mesh
+        return np.stack([
+            np.max(dyadic_level_maxima(values - h_vals[None], variant)[0] / span_pow,
+                   axis=1) < eps
+            for h_vals in meshes])
+
+    inside = np.concatenate(map_sample_blocks(plan, seed, n, block_inside), axis=1)
+    in_a, enlarged = inside[0], inside.any(axis=0)
 
     p_a = float(in_a.mean())
     if p_a in (0.0, 1.0):
@@ -565,6 +573,7 @@ def canary_violation(n: int = 100000, seed: int = 0) -> InequalityReport:
     Exercises the 'violated' verdict path end to end; any consumer treating
     violations as fatal should trip on this check.
     """
+    _check_n(n)
     hits = sum(int(np.sum(np.abs(x[:, 0]) < 1.0)) for x in _normal_blocks(n, 1, seed))
     p = hits / n
     return _proportion_report(

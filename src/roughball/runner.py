@@ -8,8 +8,9 @@ atomically (temp file in the target directory, then rename), embeds the
 resolved config hash in each artifact (``# config_hash=`` comment line in
 CSVs, a top-level key in JSON), and finishes with a manifest listing the
 sha256 of every written file.  All randomness is derived from the config seed
-through named substreams, and worker threads only ever fill disjoint slices,
-so reruns and different ``--threads`` settings produce byte-identical bodies.
+through named substreams, and results come back in input order
+(``gaussian.parallel_map``), so reruns and different ``--threads`` settings
+produce byte-identical bodies.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,15 +96,17 @@ def _csv_text(header, rows, cfg_hash: str) -> str:
 
 
 def resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ROUGHBALL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"ROUGHBALL_THREADS: expected an integer, got {env!r}") from exc
-    return 1
+    """The worker thread count: threads (--threads), else ROUGHBALL_THREADS, else 1."""
+    name, value = "--threads", threads
+    if threads is None:
+        name, value = "ROUGHBALL_THREADS", os.environ.get("ROUGHBALL_THREADS") or "1"
+    try:
+        count = int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
+    if count < 1:
+        raise ConfigError(f"{name}: expected a thread count >= 1, got {value!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +265,7 @@ _REPORT_COLUMNS = ("name", "verdict", "lhs", "lhs_ci_low", "lhs_ci_high", "rhs",
 
 
 def _run_inequalities(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
-    calls = resolve_checks(model, cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda call: call(), calls))
-    else:
-        reports = [call() for call in calls]
+    reports = gaussian.parallel_map(lambda call: call(), resolve_checks(model, cfg), threads)
     rows = [(r.name, r.verdict, r.lhs, *r.lhs_ci, r.rhs, *r.rhs_ci, r.margin, r.margin_se,
              r.config.get("seed", "")) for r in reports]
     payload = {"reports": [r.to_dict() for r in reports]}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
-from .gaussian import CovarianceModel, SamplerPlan, sample_path_block
+from .gaussian import CovarianceModel, SamplerPlan, map_sample_blocks
 from .paths import (
     _check_holder_alpha,
     _chunk_bounds,
@@ -297,11 +297,6 @@ class DyadicNormEnsemble:
         raise ValueError(f"ensemble stores dyadic norms only, not {norm_kind!r}")
 
 
-# Samples per work unit of sample_dyadic_level_maxima: one sampled block that
-# one thread lifts and reduces (dyadic_level_maxima chunks it further).
-_SAMPLE_BLOCK = 256
-
-
 def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_seed: int,
                                n_steps: int = 1024, variant: str = DEFAULT_NORM_VARIANT,
                                threads: int = 1,
@@ -311,37 +306,18 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     One pass serves every Hölder exponent and both the rough and the
     level-1-only norm families, and with a centre path (N+1, d) the distances
     to its lift.  Work is blocked over samples; per-sample seeding keeps the
-    result independent of the blocking, so threaded and serial runs produce
-    bit-identical ensembles (blocks write disjoint rows).
+    result independent of the blocking, and block results come back in index
+    order, so threaded and serial runs produce bit-identical ensembles.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
-    levels = n_steps.bit_length() - 1
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    plan = SamplerPlan(model, times)
-    rough = np.empty((n_samples, levels + 1))
-    pathm = np.empty((n_samples, levels + 1))
-    centred = None if centre is None else np.empty((n_samples, levels + 1))
-
-    def one_block(start: int) -> None:
-        stop = min(start + _SAMPLE_BLOCK, n_samples)
-        values = sample_path_block(plan, master_seed, start, stop)
-        rough[start:stop], pathm[start:stop], cmax = dyadic_level_maxima(
-            values, variant, centre=centre)
-        if centred is not None:
-            centred[start:stop] = cmax
-
-    starts = range(0, n_samples, _SAMPLE_BLOCK)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_block, starts))
-    else:
-        for start in starts:
-            one_block(start)
+    blocks = map_sample_blocks(
+        SamplerPlan(model, np.linspace(0.0, model.horizon, n_steps + 1)), master_seed, n_samples,
+        lambda values: dyadic_level_maxima(values, variant, centre=centre), threads)
+    rough, pathm, centred = (None if part[0] is None else np.concatenate(part)
+                             for part in zip(*blocks))
     return DyadicNormEnsemble(
         horizon=model.horizon,
         n_steps=n_steps,
@@ -357,18 +333,22 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
 def _sample_pair_norms(model: CovarianceModel, n_samples: int, master_seed: int,
                        times: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
                        variant: str, reduce) -> np.ndarray:
-    """Simulate paths one kernel chunk at a time and reduce each path's
-    homogeneous norms over the pair family (i_idx, j_idx), a (chunk, K)
-    array, to one value per path."""
+    """Simulate paths in sample blocks, walk each block one kernel chunk at a
+    time, and reduce each path's homogeneous norms over the pair family
+    (i_idx, j_idx), a (chunk, K) array, to one value per path."""
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     v = _resolve_variant(variant)
-    plan = SamplerPlan(model, times)
-    d = model.dim
-    out = np.empty(n_samples)
-    for lo, hi in _chunk_bounds(n_samples, len(i_idx) * (d + d * d)):
-        values = sample_path_block(plan, master_seed, lo, hi)
-        b, c = _gathered_increments(*_component_prefix(values), i_idx, j_idx)
-        out[lo:hi] = reduce(_component_norms(b, c, v)[0])
-    return out
+    floats = len(i_idx) * (model.dim + model.dim**2)
+
+    def block_norms(values):
+        return np.concatenate([
+            reduce(_component_norms(*_gathered_increments(
+                *_component_prefix(values[lo:hi]), i_idx, j_idx), v)[0])
+            for lo, hi in _chunk_bounds(len(values), floats)])
+
+    return np.concatenate([np.empty(0), *map_sample_blocks(
+        SamplerPlan(model, times), master_seed, n_samples, block_norms)])
 
 
 def sample_allpairs_norms(model: CovarianceModel, alpha: float, n_samples: int,

@@ -419,5 +419,13 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path, TINY_SBP)
     monkeypatch.setenv("ROUGHBALL_THREADS", "2")
     assert main(["sbp", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
-    monkeypatch.setenv("ROUGHBALL_THREADS", "not-a-number")
-    assert main(["sbp", "--config", cfg, "--out", str(tmp_path / "env2")]) == 2
+    for value in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("ROUGHBALL_THREADS", value)
+        assert main(["sbp", "--config", cfg, "--out", str(tmp_path / "env2")]) == 2
+        assert "ROUGHBALL_THREADS" in capsys.readouterr().err
+    monkeypatch.delenv("ROUGHBALL_THREADS")
+    for value in ("0", "-3"):
+        assert main(["sbp", "--config", cfg, "--out", str(tmp_path / "flag"),
+                     f"--threads={value}"]) == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "env2").exists() and not (tmp_path / "flag").exists()

@@ -16,6 +16,7 @@ from roughball import (
     check_sidak,
     run,
 )
+from roughball import inequalities
 from roughball.inequalities import _normal_pdf
 
 OK = ("holds", "holds_within_noise")
@@ -94,6 +95,32 @@ def test_sidak_level_two_needs_a_bilinear_form():
 def test_sidak_level_two_checks_form_shapes(forms, message):
     with pytest.raises(ValueError, match=message):
         check_sidak(np.eye(2), [0.5, 1.0], chaos_level=2, n=100, forms=forms)
+
+
+def test_sidak_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method must be 'auto', 'quadrature' or 'mc'"):
+        check_sidak(np.eye(2), [1.0, 1.0], method="quadratur")
+
+
+@pytest.mark.parametrize("check, name", [
+    (lambda: check_sidak(np.eye(4), [1.0] * 4, method="mc", n=0), "n"),
+    (lambda: check_sidak(np.eye(2), [1.0, 1.0], n=0), "n"),
+    (lambda: check_borell_shift(2, ("box", 1.0), 0.5, n=0), "n"),
+    (lambda: check_borell_shift(0, ("box", 1.0), 0.5), "dimension"),
+    (lambda: check_borell_shift(-1, ("half_space", 0.0), 0.5), "dimension"),
+    (lambda: canary_violation(n=0), "n"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, 0.5, n=0, n_steps=16), "n"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 0.0, 0.5, n_steps=16), "eps"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, -1.0, 0.5, n_steps=16), "eps"),
+])
+def test_checks_reject_bad_arguments_before_sampling(check, name, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(inequalities, "_normal_blocks", no_sampling)
+    monkeypatch.setattr(inequalities, "map_sample_blocks", no_sampling)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        check()
 
 
 def test_borell_half_space_is_exact():

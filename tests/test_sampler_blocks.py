@@ -1,4 +1,7 @@
-"""Block draws of the exact samplers equal per-sample draws bit for bit."""
+"""Block draws of the exact samplers equal per-sample draws bit for bit, and
+parallel_map returns results in input order."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from roughball.gaussian import (
     brownian_model,
     custom_model,
     fbm_model,
+    parallel_map,
     sample_path_block,
     sample_rng,
     simulate_paths,
@@ -122,3 +126,31 @@ def test_block_rejects_indices_past_one_entropy_word_and_negative_seeds():
         sample_path_block(plan, -1, 0, 2)
     with pytest.raises(ValueError):
         sample_rng(-1, 0)
+
+
+def test_parallel_map_keeps_input_order_and_passes_errors_on():
+    finished = []
+    first_may_finish = threading.Event()
+
+    def square(x):
+        if x == 0:  # finishes only after item 1 has, when both run at once
+            assert first_may_finish.wait(timeout=30)
+        finished.append(x)
+        if x == 1:
+            first_may_finish.set()
+        return x * x
+
+    assert parallel_map(square, range(4), 2) == [0, 1, 4, 9]
+    assert finished.index(1) < finished.index(0)
+
+    def fail_on_two(x):
+        if x == 2:
+            raise KeyError(x)
+        return x
+
+    for threads in (1, 2, 3):
+        with pytest.raises(KeyError):
+            parallel_map(fail_on_two, range(5), threads)
+        assert parallel_map(fail_on_two, [], threads) == []
+    assert parallel_map(lambda x: -x, [1, 3], 8) == [-1, -3]
+    assert parallel_map(lambda x: -x, iter([5]), 8) == [-5]

@@ -1,7 +1,8 @@
 """Which scipy modules the package loads, each case in a fresh interpreter.
 
 Importing roughball, parsing and building every shipped config and planning
-its sampler load no scipy.  Neither do a small-ball run, nor a quantize run
+its sampler load no scipy, and importing it loads no thread pool
+(concurrent.futures).  Neither do a small-ball run, nor a quantize run
 followed by an empirical-rate run, whose transport simplex is numpy.  An
 inequality run loads scipy.special and scipy.linalg, in the checks that call
 them, and no other scipy subpackage.  Two check threads may import those two for the
@@ -43,6 +44,7 @@ def _child(code: str):
 
 
 def test_import_parse_and_plan_load_no_scipy():
+    assert _child("print(json.dumps('concurrent.futures' in sys.modules))") is False
     code = """
 import glob
 import numpy as np

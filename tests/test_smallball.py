@@ -14,6 +14,7 @@ from oracles import (
 )
 from roughball import (
     brownian_model,
+    check_borell_shift_rough,
     fbm_model,
     erf_bound_scan,
     erf_lower_bounds,
@@ -25,7 +26,7 @@ from roughball import (
     sample_dyadic_level_maxima,
     wilson_interval,
 )
-from roughball import paths, smallball
+from roughball import gaussian, paths
 from roughball.gaussian import SamplerPlan, sample_path_block
 from roughball.paths import dyadic_level_maxima
 from roughball.quantize import LiftedSet, pairwise_distance
@@ -165,18 +166,24 @@ def test_kernel_chunks_and_sample_blocks_change_no_result(seed, n, dim, fbm, var
         ens = sample_dyadic_level_maxima(model, n, seed, 16, variant, centre=centre)
         xs = LiftedSet.from_values(times, values)
         ys = LiftedSet.from_values(times, values[: n // 2 + 1])
+        shift = check_borell_shift_rough(model, 0.35, 1.5, 0.5, n=n, seed=seed, n_steps=16,
+                                         n_directions=4, variant=variant)
         return (ens.rough_level_max, ens.path_level_max, ens.centred_level_max,
                 *dyadic_level_maxima(values, variant)[:2],
                 *dyadic_level_maxima(values, variant, centre=centre),
-                pairwise_distance(xs, ys, 0.4, variant))
+                pairwise_distance(xs, ys, 0.4, variant),
+                sample_allpairs_norms(model, 0.35, n, seed, 16, variant),
+                sample_lemma_bound_norms(model, 0.35, n, seed, 16, variant=variant),
+                np.array([shift.lhs, shift.rhs, shift.margin, shift.margin_se,
+                          shift.extras["p_a"]]))
 
     default = results()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paths, "_KERNEL_CHUNK_FLOATS", chunk_floats)
-        mp.setattr(smallball, "_SAMPLE_BLOCK", block)
+        mp.setattr(gaussian, "_SAMPLE_BLOCK", block)
         small = results()
     for want, got in zip(default, small, strict=True):
-        assert np.array_equal(want, got)
+        assert np.array_equal(want, got, equal_nan=True)
 
 
 @settings(max_examples=15)
@@ -244,6 +251,9 @@ def test_lemma_bound_sampler_checks_scale_once():
     with pytest.raises(ValueError, match="2\\^L steps"):
         sample_lemma_bound_norms(m, 0.4, 4, 1, n_steps=48)
     assert sample_lemma_bound_norms(m, 0.4, 0, 1, n_steps=64).shape == (0,)
+    assert sample_allpairs_norms(m, 0.4, 0, 1, n_steps=64).shape == (0,)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_allpairs_norms(m, 0.4, -1, 1, n_steps=64)
 
 
 def test_norm_route_orderings_per_sample():

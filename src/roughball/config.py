@@ -247,7 +247,7 @@ def _resolve_quantize(raw: dict, common: dict, model: CovarianceModel) -> dict:
     out["n_centers"] = [int(_num(v, f"n_centers[{i}]", int, 1))
                         for i, v in enumerate(centers)]
     out["n_train"] = _num(raw.get("n_train", 512), "n_train", int, 1)
-    out["n_fresh"] = _num(raw.get("n_fresh", 2000), "n_fresh", int, 1)
+    out["n_fresh"] = _num(raw.get("n_fresh", 2000), "n_fresh", int, 2)
     if max(out["n_centers"]) > out["n_train"]:
         raise ConfigError("n_centers: entries must not exceed n_train")
     out["eps"] = _eps_list(raw.get("eps", dict(_DEFAULT_EPS)), "eps")
@@ -375,7 +375,8 @@ def _one_check(model, cfg: dict, entry, where: str):
             center = CMPath(times, np.outer(times / model.horizon,
                                             array("center", default_center, 1, model.dim)))
         call = partial(check, model, alpha, center, num("eps", low=0, low_open=True),
-                       n=num("n", 20000, int, 1), seed=seed, n_steps=steps,
+                       n=num("n", 20000, int, 2 if name == "cameron_martin" else 1),
+                       seed=seed, n_steps=steps,
                        variant=cfg["variant"])
     elif name == "sidak":
         cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
@@ -416,7 +417,7 @@ def _one_check(model, cfg: dict, entry, where: str):
         call = partial(inequalities.check_borell_shift_rough, model,
                        _validate_alpha(get("alpha"), model, where=f"{where}."),
                        num("eps", low=0, low_open=True), num("lam", 0.5, float, 0),
-                       n=num("n", 4000, int, 1), seed=seed,
+                       n=num("n", 4000, int, 2), seed=seed,
                        n_steps=num("n_steps", default_steps, int, 2),
                        n_directions=num("n_directions", 8, int, 1), variant=cfg["variant"])
     elif name == "canary_violation":

@@ -88,9 +88,9 @@ def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> 
     return "violated"
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _check_n(n: int, low: int = 1) -> None:
+    if n < low:
+        raise ValueError(f"n must be >= {low}, got {n}")
 
 
 def _exact_report(name, lhs, rhs, config, notes=(), extras=None) -> InequalityReport:
@@ -204,8 +204,10 @@ def check_cameron_martin(model: CovarianceModel, alpha: float, h: CMPath, eps: f
     exp(-|h|_H^2/2) P[norm < (1-a) eps] for a in {0, 1/4, 1/2}; the center's
     energy stands in for the inner-ball infimum, which only weakens the right
     side, so each split is a valid consequence.  Verdict comes from the
-    tightest split (a=0); the others ride along in extras.
+    tightest split (a=0); the others ride along in extras.  Needs n >= 2
+    for the splits' standard errors.
     """
+    _check_n(n, 2)
     ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant,
                                      centre=_drift_values(model, h, n_steps))
     origin, centered = ens.rough_norms(alpha), ens.centred_norms(alpha)
@@ -510,7 +512,8 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
     directions (each of reproducing-kernel norm <= lam), so the estimated hit
     rate under-counts.  The claim lhs >= Phi(lam + Phi^{-1}(P[A])) is
     therefore never reported violated: a negative margin beyond noise is
-    'inconclusive' with a mesh-slack note.
+    'inconclusive' with a mesh-slack note.  Needs n >= 2 for the standard
+    error.
     """
     from scipy.special import ndtr, ndtri
 
@@ -518,7 +521,7 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
         raise ValueError(f"eps must be positive, got {eps}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    _check_n(n)
+    _check_n(n, 2)
     if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     times = np.linspace(0.0, model.horizon, n_steps + 1)

@@ -23,7 +23,9 @@ A pair family, such as all 2N-1 dyadic pairs, is taken along the grid axis in
 one gather, and one maximum.reduceat gives every dyadic level's maximum: about
 twenty numpy calls per chunk of paths, where a pass per level costs ten times
 as many short calls, which make two worker threads wait on each other.  Paths
-and pairs are walked in chunks from _chunk_bounds.
+and pairs are walked in chunks from _chunk_bounds.  A distance matrix divides
+each pair's norm by its level's scale and takes one max instead: correctly
+rounded division by s > 0 is monotone, so max(x) / s == max(x / s) exactly.
 
 The sample-major functions batch_prefix, pair_increments,
 difference_increments and algebra.batch_homogeneous_norm stay public entry
@@ -39,6 +41,7 @@ form that the runner writes into codebook artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,9 +171,11 @@ class GridRoughPath:
         return G2Element(b, c)
 
     def to_dict(self) -> dict:
+        """JSON form: times and one G2Element.to_flat row per step."""
         b, c = self.step_arrays()
-        steps = [G2Element(b[k], c[k]).to_flat() for k in range(b.shape[0])]
-        return {"times": [float(t) for t in self.times], "steps": steps}
+        n, d = b.shape
+        steps = np.concatenate([np.full((n, 1), float(d)), b, c.reshape(n, d * d)], axis=1)
+        return {"times": self.times.tolist(), "steps": steps.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GridRoughPath":
@@ -285,16 +290,35 @@ def difference_increments(bx, cx, by, cy) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def _component_sum(x):
+def _scratch(work, name, shape):
+    """An uninitialised float array from the caller's workspace dict: a view,
+    cached per (name, shape), of one flat buffer per name that grows on
+    demand.  None without a workspace, so that out=None allocates."""
+    if work is None:
+        return None
+    view = work.get((name, shape))
+    if view is None:
+        size = math.prod(shape)
+        if name not in work or work[name].size < size:
+            work[name] = np.empty(size)
+        view = work[name, shape] = work[name][:size].reshape(shape)
+    return view
+
+
+def _component_sum(x, work, name):
     """x[0] + x[1] + ... over the leading axis, in numpy's order for a sum over
-    a contiguous trailing axis of that length: batch_homogeneous_norm's order."""
+    a contiguous trailing axis of that length: batch_homogeneous_norm's order.
+    With a workspace dict the result goes into its buffer `name`."""
+    out = _scratch(work, name, x.shape[1:]) if len(x) > 1 else None
     if len(x) < 8:
         # numpy's pairwise summation is a sequential fold below 8 terms
-        out = x[0]
+        total = x[0]
         for row in x[1:]:
-            out = out + row
-        return out
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+            total = np.add(total, row, out=out)
+        return total
+    moved = np.moveaxis(x, 0, -1)  # summed as a C-order copy, whose last axis is contiguous
+    copy = np.positive(moved, out=_scratch(work, "moved", moved.shape), order="C")
+    return copy.sum(axis=-1, out=out)
 
 
 def _dyadic_pairs(n_steps: int):
@@ -324,43 +348,51 @@ def _gathered_increments(B, C, i_idx, j_idx):
     return b, c
 
 
-def _component_difference(bx, cx, by, cy):
+def _component_difference(bx, cx, by, cy, work=None):
     """Component-major increments (d, ...) and (d, d, ...) of the group
-    difference x^{-1} * y; difference_increments' arithmetic."""
-    b = by - bx
-    c = cy - cx - bx[:, None] * b[None, :]
+    difference x^{-1} * y; difference_increments' arithmetic.  With a
+    workspace dict the results live in its buffers."""
+    b = np.subtract(by, bx, out=_scratch(work, "b", np.broadcast(by, bx).shape))
+    c = np.subtract(cy, cx, out=_scratch(work, "c", np.broadcast(cy, cx).shape))
+    np.subtract(c, np.multiply(bx[:, None], b[None, :], out=_scratch(work, "dd", c.shape)), out=c)
     return b, c
 
 
-def _component_norms(b, c, variant):
+def _component_norms(b, c, variant, work=None):
     """Homogeneous norms of component-major increments b (d, ...) and
-    c (d, d, ...), with their level-1 parts; batch_homogeneous_norm's arithmetic."""
-    l1 = np.abs(b)
-    l2 = c - 0.5 * b[:, None] * b[None, :]
+    c (d, d, ...), with their level-1 parts; batch_homogeneous_norm's
+    arithmetic.  With a workspace dict the results live in its buffers."""
+    half = np.multiply(0.5, b[:, None], out=_scratch(work, "d", b[:, None].shape))
+    l2 = np.multiply(half, b[None, :], out=_scratch(work, "dd", c.shape))
+    np.subtract(c, l2, out=l2)
     np.abs(l2, out=l2)
     np.sqrt(l2, out=l2)
+    l1 = np.abs(b, out=_scratch(work, "d", b.shape))  # half is spent: share its buffer
     l2 = l2.reshape((l2.shape[0] * l2.shape[1],) + l2.shape[2:])
+    norm = _scratch(work, "norm", b.shape[1:])
     if variant == "sum":
-        part1 = _component_sum(l1)
-        return part1 + _component_sum(l2), part1
-    part1 = l1.max(axis=0)
-    return np.maximum(part1, l2.max(axis=0)), part1
+        part1 = _component_sum(l1, work, "part1")
+        return np.add(part1, _component_sum(l2, work, "part2"), out=norm), part1
+    part1 = np.max(l1, axis=0, out=_scratch(work, "part1", b.shape[1:]))
+    return np.maximum(part1, np.max(l2, axis=0, out=_scratch(work, "part2", b.shape[1:])),
+                      out=norm), part1
 
 
-# The kernel walks its items (paths, columns of a distance matrix, or one
-# path's grid pairs) in equal chunks whose gathered increments b and c hold at
-# most _KERNEL_CHUNK_FLOATS floats, 512 KB together: about 11 paths at N=512,
-# d=2, and 64 at N=256, d=1 for dyadic_level_maxima.  Chunks four times
-# larger ran 1.2x (d=2) to 2x (d=1) slower on one thread, as their temporaries
-# fall out of a 2 MB L2 cache and are handed back to the OS and re-faulted on
-# every call; chunks four times smaller paid about 1.3x in per-call overhead.
+# The kernel walks its items (paths, one path's grid pairs, or the columns, then
+# the rows of a distance matrix) in equal chunks whose increments b and c hold
+# about _KERNEL_CHUNK_FLOATS floats, 512 KB: about 11 paths at N=512, d=2, 64
+# at N=256, d=1 for dyadic_level_maxima, 258 rows of one column for a d=1, N=64
+# distance matrix (its workspace is 2.5x larger).  Chunks four times larger ran
+# 1.2x (d=2) to 2x (d=1) slower on one thread, as their temporaries fall out
+# of a 2 MB L2 cache and are handed back to the OS and re-faulted on every
+# call; chunks four times smaller paid about 1.3x in per-call overhead.
 _KERNEL_CHUNK_FLOATS = 2**16
 
 
 def _chunk_bounds(n_items: int, floats_per_item: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of equal kernel chunks of n_items, at least one item each."""
+    """(lo, hi) bounds of equal kernel chunks of n_items, at least one item each, largest first."""
     n_chunks = min(n_items, max(1, -(-n_items * floats_per_item // _KERNEL_CHUNK_FLOATS)))
-    bounds = [k * n_items // n_chunks for k in range(n_chunks + 1)] if n_items else []
+    bounds = [-(-k * n_items // n_chunks) for k in range(n_chunks + 1)] if n_items else []
     return list(zip(bounds[:-1], bounds[1:]))
 
 

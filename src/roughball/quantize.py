@@ -4,7 +4,8 @@ Everything here works on finite sets of lifted paths sharing one dyadic grid.
 The LiftedSet container stores stacked prefix signatures and caches their
 increments over every dyadic pair, component-major, so pairwise_distance
 reduces two sets to a Hölder distance matrix with the batched norm kernel of
-paths, a memory-bounded chunk of columns at a time.
+paths, one memory-bounded block of rows and columns at a time, all blocks
+sharing one workspace.
 
 Probability enters through small-ball curves: the monotone -log p transform
 and its inverse (isotonic regression, then linear interpolation in log-log
@@ -135,9 +136,10 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
                       variant: str = DEFAULT_NORM_VARIANT) -> np.ndarray:
     """Dyadic-family Hölder distance matrix, shape (x.size, y.size).
 
-    For each chunk of y's columns: the group differences to every member of
-    x over all dyadic pairs, their homogeneous norms, the largest norm per
-    level divided by that level's (T 2^-l)^alpha, and the largest over levels.
+    For each block of rows and columns: the group differences over all
+    dyadic pairs, their homogeneous norms, each divided by its level's
+    (T 2^-l)^alpha, and the largest.  Blocks fit the kernel's chunk budget
+    and share one workspace, so a call allocates its buffers once.
     """
     if not np.array_equal(x.times, y.times):
         raise ValueError("both sets must share one grid")
@@ -151,12 +153,20 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     horizon = x.times[-1]
     scale = np.array([(horizon * 0.5**level) ** alpha for level in range(len(starts))])
     d, m1, k = bx.shape
-    bx, cx = bx[:, :, None], cx[:, :, :, None]
+    pair_scale = np.repeat(scale, np.diff(starts, append=k))
+    cell = k * (d + d * d)
     out = np.empty((m1, y.size))
-    for lo, hi in _chunk_bounds(y.size, m1 * k * (d + d * d)):
-        b, c = _component_difference(bx, cx, by[:, None, lo:hi], cy[:, :, None, lo:hi])
-        level_max = np.maximum.reduceat(_component_norms(b, c, v)[0], starts, axis=-1)
-        out[:, lo:hi] = (level_max / scale).max(axis=-1)
+    cols = _chunk_bounds(y.size, m1 * cell)
+    # every block is at most as large as the first, so the workspace never grows
+    rows = _chunk_bounds(m1, (cols[0][1] - cols[0][0]) * cell) if cols else []
+    work = {}
+    for clo, chi in cols:
+        for rlo, rhi in rows:
+            b, c = _component_difference(bx[:, rlo:rhi, None], cx[:, :, rlo:rhi, None],
+                                         by[:, None, clo:chi], cy[:, :, None, clo:chi], work)
+            norms = _component_norms(b, c, v, work)[0]
+            # max(x) / s == max(x / s): correctly rounded division by s > 0 is monotone
+            np.max(np.divide(norms, pair_scale, out=norms), axis=-1, out=out[rlo:rhi, clo:chi])
     return out
 
 
@@ -559,10 +569,13 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: in
             centers = samples.subset(new_idx)
         else:
             centers = _geometric_mean_centers(samples, assign, n)
+    else:
+        dist = None  # max_iter ran out: the centres moved after the last distances
 
     if mode == "mean":
         # polish: snap each center to its nearest assigned member
-        dist = pairwise_distance(samples, centers, alpha, variant)
+        if dist is None:
+            dist = pairwise_distance(samples, centers, alpha, variant)
         assign = np.argmin(dist, axis=1)
         snap = np.empty(n, dtype=np.intp)
         for k in range(n):
@@ -597,8 +610,11 @@ def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = N
     Where log(2n) lies above the resolved curve, the bound is the largest
     curve eps whose Wilson upper limit is at most 1/(2n): p <= 1/(2n) there
     at 95%, so the bound stays conservative.  The bound claim
-    E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.
+    E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.  Needs at least
+    two fresh samples for the standard error.
     """
+    if fresh.size < 2:
+        raise ValueError(f"fresh must hold at least 2 samples, got {fresh.size}")
     if r is None:
         r = codebook.order
     dist = pairwise_distance(fresh, codebook.centers, codebook.alpha, codebook.variant)

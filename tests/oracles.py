@@ -16,7 +16,8 @@ norm maxima, to all-pairs norms, level by level to dyadic distance matrices
 between lifted sets, to the single-path Hoelder distance and geometric
 defect, and level by level, path by path to the dyadic discretisation bound.
 The reproducing-kernel norm references factor one Gram matrix per drift path
-and seed one generator per mesh path, as the routes before them did.
+and seed one generator per mesh path, as the routes before them did.  The
+Lloyd reference spells out one mean-mode iteration and its polish.
 They keep the arithmetic of the loops they replaced, so np.array_equal
 against them is the right test.
 """
@@ -344,6 +345,39 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
             lvl = batch_homogeneous_norm(b, c, variant).max(axis=-1) / scale
             np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
     return out
+
+
+def lloyd_mean_one_iteration(samples, n, alpha, seed, variant="sum"):
+    """(centres' level-1 prefixes, history) of lloyd_codebook in mean mode with
+    max_iter=1, written out: k-means++ centres, one assignment, the geometric
+    mean centres, then the medoid polish against the distances to those new
+    centres, which the one iteration never computed."""
+    from roughball.quantize import _geometric_mean_centers, _kmeanspp_init, pairwise_distance
+
+    m = samples.size
+    centers = samples.subset(_kmeanspp_init(samples, n, 2.0, alpha, variant, seed))
+    dist = pairwise_distance(samples, centers, alpha, variant)
+    assign = np.argmin(dist, axis=1)
+    min_dist = dist[np.arange(m), assign]
+    for k in range(n):
+        if not np.any(assign == k):
+            far = int(np.argmax(min_dist))
+            assign[far] = k
+            min_dist[far] = 0.0
+    history = [float(np.mean(min_dist**2.0) ** 0.5)]
+    centers = _geometric_mean_centers(samples, assign, n)
+    dist = pairwise_distance(samples, centers, alpha, variant)
+    assign = np.argmin(dist, axis=1)
+    snap = []
+    for k in range(n):
+        members = np.nonzero(assign == k)[0]
+        if members.size == 0:
+            members = np.arange(m)
+        snap.append(members[int(np.argmin(dist[members, k]))])
+    centers = samples.subset(snap)
+    min_dist = pairwise_distance(samples, centers, alpha, variant).min(axis=1)
+    history.append(float(np.mean(min_dist**2.0) ** 0.5))
+    return centers.B, tuple(history)
 
 
 def dyadic_pair_indices_loop(n_steps):

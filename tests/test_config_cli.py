@@ -119,6 +119,14 @@ def test_sigma2_table_cells_must_be_numbers(tmp_path, cell):
     assert not out.exists()
 
 
+def test_quantize_needs_two_fresh_samples():
+    tiny = {"experiment": "quantize", "model": {"kind": "brownian", "d": 1}, "alpha": 0.4,
+            "grid": {"N": 16}, "n_centers": [2], "n_train": 8}
+    assert parse_config(dict(tiny, n_fresh=2)).data["n_fresh"] == 2
+    with pytest.raises(ConfigError, match=r"^n_fresh: must be >= 2, got 1"):
+        parse_config(dict(tiny, n_fresh=1))
+
+
 def test_grid_must_be_power_of_two():
     with pytest.raises(ConfigError):
         parse_config(dict(TINY_SBP, grid={"T": 1.0, "N": 100}))
@@ -242,6 +250,9 @@ BAD_CHECK_ENTRIES = [
     ({"name": "sidak", "thresholds": [1.0, 0.0]}, "checks[1].thresholds"),
     ({"name": "sidak", "chaos_level": 2}, "checks[1].cov: chaos level 2 needs independent"),
     ({"name": "sidak", "cov": np.eye(4).tolist(), "method": "quadrature"}, "checks[1].method"),
+    ({"name": "cameron_martin", "alpha": 0.4, "eps": 1.5, "n": 1}, "checks[1].n: must be >= 2"),
+    ({"name": "borell_shift_rough", "alpha": 0.4, "eps": 1.5, "n": 1},
+     "checks[1].n: must be >= 2"),
 ]
 
 
@@ -295,7 +306,7 @@ def _valid_values(draw, dim: int) -> dict:
     return {
         "alpha": draw(st.floats(0.34, 0.49)),
         "eps": draw(POSITIVE),
-        "n": draw(st.integers(1, 10**6)),
+        "n": draw(st.integers(2, 10**6)),
         "seed": draw(st.integers(0, 2**31)),
         "n_steps": draw(st.integers(2, 256)),
         "center": draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)),

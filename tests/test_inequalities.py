@@ -110,6 +110,8 @@ def test_sidak_rejects_unknown_method():
     (lambda: check_borell_shift(-1, ("half_space", 0.0), 0.5), "dimension"),
     (lambda: canary_violation(n=0), "n"),
     (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, 0.5, n=0, n_steps=16), "n"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, 0.5, n=1, n_steps=16), "n"),
+    (lambda: check_cameron_martin(brownian_model(), 0.4, _drift(), 1.5, n=1, n_steps=16), "n"),
     (lambda: check_borell_shift_rough(brownian_model(), 0.4, 0.0, 0.5, n_steps=16), "eps"),
     (lambda: check_borell_shift_rough(brownian_model(), 0.4, -1.0, 0.5, n_steps=16), "eps"),
 ])
@@ -119,6 +121,7 @@ def test_checks_reject_bad_arguments_before_sampling(check, name, monkeypatch):
 
     monkeypatch.setattr(inequalities, "_normal_blocks", no_sampling)
     monkeypatch.setattr(inequalities, "map_sample_blocks", no_sampling)
+    monkeypatch.setattr(inequalities, "sample_dyadic_level_maxima", no_sampling)
     with pytest.raises(ValueError, match=f"^{name} must"):
         check()
 

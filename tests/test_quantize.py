@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from oracles import brute_force_transport, highs_transport, pairwise_distance_loop
+from oracles import (brute_force_transport, highs_transport, lloyd_mean_one_iteration,
+                     pairwise_distance_loop)
 from roughball import (
     CMPath,
     DiscreteMeasure,
@@ -32,6 +34,8 @@ from roughball import (
     quantization_error,
     wasserstein,
 )
+from roughball import paths
+from roughball.algebra import G2Element
 from roughball.runner import run
 from roughball.smallball import synthetic_curve
 
@@ -94,6 +98,36 @@ def test_pairwise_matches_level_loop(variant, dim):
         empty = pairwise_distance(xs.subset([]), ys, alpha=0.4, variant=variant)
         assert empty.shape == (0, 23)
         assert np.array_equal(empty, pairwise_distance_loop(xs.subset([]), ys, 0.4, variant))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40), cols=st.integers(0, 40),
+       dim=st.sampled_from([1, 2, 3, 8]), log2_steps=st.integers(0, 4),
+       variant=st.sampled_from(["sum", "sup"]), chunk_floats=st.integers(1, 4096))
+def test_pairwise_matches_level_loop_in_any_blocking(seed, rows, cols, dim, log2_steps,
+                                                     variant, chunk_floats):
+    # chunk budgets below one row of cells split the rows as well as the columns;
+    # at d = 8 both component sums take numpy's pairwise order
+    xs = _random_set(seed, rows, dim, 2**log2_steps)
+    ys = _random_set(seed + 1, cols, dim, 2**log2_steps)
+    want = pairwise_distance_loop(xs, ys, 0.4, variant)
+    assert np.array_equal(pairwise_distance(xs, ys, 0.4, variant), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_KERNEL_CHUNK_FLOATS", chunk_floats)
+        assert np.array_equal(pairwise_distance(xs, ys, 0.4, variant), want)
+
+
+def test_pairwise_memory_stays_within_the_chunk_budget():
+    xs = _brownian_set(1000, 51)
+    ys = _brownian_set(32, 52)
+    xs.dyadic_increments(), ys.dyadic_increments()
+    tracemalloc.start()
+    try:
+        dist = pairwise_distance(xs, ys, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - dist.nbytes < 4 * paths._KERNEL_CHUNK_FLOATS * 8
 
 
 def test_lifted_set_from_paths_roundtrip(rng):
@@ -269,6 +303,27 @@ def test_lloyd_static_gaussian_small_run():
     assert cb.distortion**2 == pytest.approx(1 - 2 / np.pi, abs=2e-2)
 
 
+def test_lloyd_mean_mode_recomputes_distances_when_max_iter_stops_it():
+    samples = _brownian_set(60, 27)
+    for n, seed in ((3, 4), (5, 9)):
+        cb = lloyd_codebook(samples, n, seed=seed, mode="mean", max_iter=1)
+        centres, history = lloyd_mean_one_iteration(samples, n, 0.4, seed)
+        assert np.array_equal(cb.centers.B, centres)
+        assert cb.history == history
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_codebook_dict_matches_per_step_flat_form(dim):
+    cb = lloyd_codebook(_brownian_set(12, 33, n_steps=8, dim=dim), 3, seed=2,
+                        mode="medoid", max_iter=2)
+    for i, payload in enumerate(cb.to_dict()["centers"]):
+        path = cb.centers.path(i)
+        b, c = path.step_arrays()
+        want = {"times": [float(t) for t in path.times],
+                "steps": [G2Element(b[k], c[k]).to_flat() for k in range(len(b))]}
+        assert json.dumps(payload) == json.dumps(want)
+
+
 def test_codebook_dict_roundtrip():
     samples = _brownian_set(30, 29, dim=2)
     cb = lloyd_codebook(samples, 3, seed=7, mode="medoid", max_iter=8)
@@ -291,6 +346,13 @@ def test_quantization_error_reports_bound():
     assert out["E_hat"] > 0 and out["E_hat_se"] > 0
     no_bound = quantization_error(cb, _brownian_set(150, 37))
     assert no_bound.get("lower_bound") is None
+
+
+def test_quantization_error_needs_two_fresh_samples():
+    cb = lloyd_codebook(_brownian_set(20, 31), 2, seed=3, mode="medoid")
+    with pytest.raises(ValueError, match="fresh must hold at least 2 samples, got 1"):
+        quantization_error(cb, _brownian_set(1, 37))
+    assert quantization_error(cb, _brownian_set(2, 37))["E_hat_se"] >= 0.0
 
 
 def test_quantization_bound_past_the_resolution_floor():

@@ -162,20 +162,27 @@ def test_kernel_chunks_and_sample_blocks_change_no_result(seed, n, dim, fbm, var
     centre = np.outer(np.sin(3.0 * times), np.ones(dim))
     values = sample_path_block(SamplerPlan(model, times), seed, 0, n)
 
+    def shift():
+        return check_borell_shift_rough(model, 0.35, 1.5, 0.5, n=n, seed=seed, n_steps=16,
+                                        n_directions=4, variant=variant)
+
     def results():
         ens = sample_dyadic_level_maxima(model, n, seed, 16, variant, centre=centre)
         xs = LiftedSet.from_values(times, values)
         ys = LiftedSet.from_values(times, values[: n // 2 + 1])
-        shift = check_borell_shift_rough(model, 0.35, 1.5, 0.5, n=n, seed=seed, n_steps=16,
-                                         n_directions=4, variant=variant)
-        return (ens.rough_level_max, ens.path_level_max, ens.centred_level_max,
-                *dyadic_level_maxima(values, variant)[:2],
-                *dyadic_level_maxima(values, variant, centre=centre),
-                pairwise_distance(xs, ys, 0.4, variant),
-                sample_allpairs_norms(model, 0.35, n, seed, 16, variant),
-                sample_lemma_bound_norms(model, 0.35, n, seed, 16, variant=variant),
-                np.array([shift.lhs, shift.rhs, shift.margin, shift.margin_se,
-                          shift.extras["p_a"]]))
+        out = (ens.rough_level_max, ens.path_level_max, ens.centred_level_max,
+               *dyadic_level_maxima(values, variant)[:2],
+               *dyadic_level_maxima(values, variant, centre=centre),
+               pairwise_distance(xs, ys, 0.4, variant),
+               sample_allpairs_norms(model, 0.35, n, seed, 16, variant),
+               sample_lemma_bound_norms(model, 0.35, n, seed, 16, variant=variant))
+        if n == 1:  # a single sample has no standard error
+            with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+                shift()
+            return out
+        rep = shift()
+        return out + (np.array([rep.lhs, rep.rhs, rep.margin, rep.margin_se,
+                                rep.extras["p_a"]]),)
 
     default = results()
     with pytest.MonkeyPatch.context() as mp:
@@ -183,7 +190,7 @@ def test_kernel_chunks_and_sample_blocks_change_no_result(seed, n, dim, fbm, var
         mp.setattr(gaussian, "_SAMPLE_BLOCK", block)
         small = results()
     for want, got in zip(default, small, strict=True):
-        assert np.array_equal(want, got, equal_nan=True)
+        assert np.array_equal(want, got)
 
 
 @settings(max_examples=15)

@@ -1,13 +1,13 @@
 """Declarative experiment configs: schema validation, defaults, hashing.
 
 A config is a JSON object with an ``experiment`` kind and per-kind sections.
-This module alone knows what a config may contain.  Parsing fills defaults
-and validates every key against the schema below, inequality check entries
-included (``resolve_checks`` turns them into calls); unknown keys are
-rejected by name so typos fail loudly instead of silently running a default.
-The resolved config is what gets hashed (canonical JSON, sorted keys) and
-echoed next to the artifacts, and parsing an echoed config resolves to the
-identical object.
+This module owns a config's keys, their defaults and their JSON types; the
+rules on a value belong to the library function that consumes it, and
+parsing calls them (``_rule``), so a value the run would reject fails here
+naming its key.  Unknown keys are rejected by name so typos fail loudly.
+``resolve_checks`` turns inequality check entries into calls.  The resolved
+config is what gets hashed (canonical JSON, sorted keys) and echoed next to
+the artifacts, and parsing an echoed config resolves to the identical object.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import partial
 
 import numpy as np
 
-from . import inequalities
+from . import inequalities, quantize
 from .gaussian import CovarianceModel, brownian_model, custom_model, fbm_model
-from .paths import CMPath
+from .paths import CMPath, _lemma_depths
 from .smallball import NORM_KINDS, _check_alpha
 
 EXPERIMENTS = ("sbp", "entropy", "quantize", "empirical", "inequalities", "audit")
@@ -82,7 +82,7 @@ def _req(section: dict, key: str, where: str):
     return section[key]
 
 
-def _num(value, key, kind=float, low=None, high=None, low_open=False, high_open=False):
+def _num(value, key, kind=float, low=None, low_open=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     if not math.isfinite(value):
@@ -92,9 +92,16 @@ def _num(value, key, kind=float, low=None, high=None, low_open=False, high_open=
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     if low is not None and (v <= low if low_open else v < low):
         raise ConfigError(f"{key}: must be {'>' if low_open else '>='} {low}, got {value}")
-    if high is not None and (v >= high if high_open else v > high):
-        raise ConfigError(f"{key}: must be {'<' if high_open else '<='} {high}, got {value}")
     return v
+
+
+def _rule(where: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), a library function's argument rule, with its
+    ValueError('<argument>: <rule>') raised as a ConfigError under where."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _choice(value, key, options):
@@ -148,13 +155,9 @@ def _validate_model(spec, where="model") -> dict:
     return out
 
 
-def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic",
-                    where: str = ""):
-    a = _num(alpha, f"{where}alpha", float)
-    try:
-        _check_alpha(model, a, norm_kind)
-    except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from exc
+def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic"):
+    a = _num(alpha, "alpha", float)
+    _rule("", _check_alpha, model, a, norm_kind)
     return a
 
 
@@ -178,10 +181,7 @@ def _resolve_common(raw: dict) -> tuple[dict, CovarianceModel]:
     if N & (N - 1):
         raise ConfigError(f"grid.N: must be a power of two, got {N}")
     spec = _validate_model(_req(raw, "model", "config"))
-    try:  # the model checks its own parameter ranges
-        model = _build_model(spec, T)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    model = _rule("model: ", _build_model, spec, T)  # the model checks its own ranges
     out = {
         "experiment": exp,
         "model": spec,
@@ -209,6 +209,10 @@ def _resolve_sbp(raw: dict, common: dict, model: CovarianceModel) -> dict:
         lo = _num(win[0], "fit_window[0]", float, 0, low_open=True)
         hi = _num(win[1], "fit_window[1]", float, lo, low_open=True)
         out["fit_window"] = [lo, hi]
+    if norm_kind == "rough_holder_lemma_bound":  # the sampler's default scale, 4 grid steps
+        T, N = common["grid"]["T"], common["grid"]["N"]
+        _rule("grid.N: too coarse for the lemma bound's scale 4T/N: ", _lemma_depths,
+              np.linspace(0.0, T, N + 1), out["alpha"], 4.0 * T / N)
     return out
 
 
@@ -243,18 +247,18 @@ def _resolve_quantize(raw: dict, common: dict, model: CovarianceModel) -> dict:
     out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
     centers = raw.get("n_centers", [4, 16, 64])
     if not isinstance(centers, list) or not centers:
-        raise ConfigError("n_centers: expected a nonempty list of positive integers")
-    out["n_centers"] = [int(_num(v, f"n_centers[{i}]", int, 1))
-                        for i, v in enumerate(centers)]
+        raise ConfigError("n_centers: expected a nonempty list of integers")
+    out["n_centers"] = [int(_num(v, f"n_centers[{i}]", int)) for i, v in enumerate(centers)]
     out["n_train"] = _num(raw.get("n_train", 512), "n_train", int, 1)
     out["n_fresh"] = _num(raw.get("n_fresh", 2000), "n_fresh", int, 2)
-    if max(out["n_centers"]) > out["n_train"]:
-        raise ConfigError("n_centers: entries must not exceed n_train")
     out["eps"] = _eps_list(raw.get("eps", dict(_DEFAULT_EPS)), "eps")
     out["curve_samples"] = _num(raw.get("curve_samples", 20000), "curve_samples", int, 1)
-    out["mode"] = _choice(raw.get("mode", "auto"), "mode", ("auto", "medoid", "mean"))
-    out["tol"] = _num(raw.get("tol", 1e-6), "tol", float, 0, low_open=True)
-    out["max_iter"] = _num(raw.get("max_iter", 60), "max_iter", int, 1)
+    out["mode"] = raw.get("mode", "auto")
+    out["tol"] = _num(raw.get("tol", 1e-6), "tol", float)
+    out["max_iter"] = _num(raw.get("max_iter", 60), "max_iter", int)
+    for i, n in enumerate(out["n_centers"]):
+        _rule("", quantize._lloyd_args, out["n_train"], n, out["r"], out["max_iter"],
+              out["tol"], out["mode"], n_name=f"n_centers[{i}]")
     return out
 
 
@@ -265,13 +269,15 @@ def _resolve_empirical(raw: dict, common: dict, model: CovarianceModel) -> dict:
     out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
     out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
     n_list = raw.get("n_list", [8, 16, 32, 64, 128])
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("n_list: expected a nonempty list of positive integers")
-    out["n_list"] = [int(_num(v, f"n_list[{i}]", int, 1)) for i, v in enumerate(n_list)]
-    out["reps"] = _num(raw.get("reps", 10), "reps", int, 1)
-    out["m_weights"] = _num(raw.get("m_weights", 2000), "m_weights", int, 1)
-    out["test_size"] = _num(raw.get("test_size", 256), "test_size", int, 1)
-    out["bootstrap"] = _num(raw.get("bootstrap", 8), "bootstrap", int, 0)
+    if not isinstance(n_list, list):
+        raise ConfigError("n_list: expected a list of integers")
+    out["n_list"] = [int(_num(v, f"n_list[{i}]", int)) for i, v in enumerate(n_list)]
+    out["reps"] = _num(raw.get("reps", 10), "reps", int)
+    out["m_weights"] = _num(raw.get("m_weights", 2000), "m_weights", int)
+    out["test_size"] = _num(raw.get("test_size", 256), "test_size", int)
+    out["bootstrap"] = _num(raw.get("bootstrap", 8), "bootstrap", int)
+    _rule("", quantize._empirical_args, out["n_list"], out["reps"], out["m_weights"],
+          out["test_size"], out["bootstrap"])
     return out
 
 
@@ -292,60 +298,27 @@ def _resolve_inequalities(raw: dict, common: dict, model: CovarianceModel) -> di
     return dict(out, checks=[dict(chk) for chk in checks])
 
 
-def _numeric_array(value, key: str, ndim: int, size=None) -> np.ndarray:
-    """A float array of ndim dimensions (and size entries, if given) or ConfigError."""
+def _numeric_array(value, key: str) -> np.ndarray:
+    """A float array of finite numbers, of any shape, or ConfigError."""
     try:
         value = np.asarray(value)
     except ValueError:  # ragged nesting
         value = None
-    if (value is None or value.dtype.kind not in "iuf" or value.ndim != ndim
-            or (size is not None and value.size != size) or not np.isfinite(value).all()):
-        shape = "a matrix of" if ndim == 2 else "a list of" if size is None else f"a list of {size}"
-        raise ConfigError(f"{key}: expected {shape} finite numbers")
+    if value is None or value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+        raise ConfigError(f"{key}: expected a rectangular array of finite numbers")
     return value.astype(float)
-
-
-def _sidak_forms(forms, where: str, size: int) -> tuple[list, int]:
-    """Resolve sidak ``forms`` into (kind, coefficients, eps) triples and p.
-
-    The first bilinear form's p x q matrix fixes the block sizes: every
-    bilinear form must be p x q, every ``linear_x`` vector of length p and
-    every ``linear_y`` vector of length q, and p + q must equal ``size``, the
-    size of the check's ``cov``.
-    """
-    key = f"{where}.forms"
-    if not isinstance(forms, list):
-        raise ConfigError(f"{key}: expected a list of [kind, coefficients, eps]")
-    out = []
-    for k, form in enumerate(forms):
-        if not (isinstance(form, list) and len(form) == 3):
-            raise ConfigError(f"{key}[{k}]: expected [kind, coefficients, eps]")
-        kind = _choice(form[0], f"{key}[{k}][0]", ("bilinear", "linear_x", "linear_y"))
-        coefficients = _numeric_array(form[1], f"{key}[{k}][1]", 2 if kind == "bilinear" else 1)
-        out.append((kind, coefficients, _num(form[2], f"{key}[{k}][2]", float, 0, low_open=True)))
-    first = next((c for kind, c, _ in out if kind == "bilinear"), None)
-    if first is None:
-        raise ConfigError(f"{key}: needs at least one bilinear form")
-    p, q = first.shape
-    if p + q != size:
-        raise ConfigError(f"{where}.cov: size {size} must equal {p} + {q}, the block sizes "
-                          "of the first bilinear form")
-    shapes = {"bilinear": (p, q), "linear_x": (p,), "linear_y": (q,)}
-    for k, (kind, coefficients, _) in enumerate(out):
-        if coefficients.shape != shapes[kind]:
-            raise ConfigError(f"{key}[{k}][1]: a {kind} form needs shape {shapes[kind]} "
-                              f"for blocks of sizes {p} and {q}, got {coefficients.shape}")
-    return out, p
 
 
 def _one_check(model, cfg: dict, entry, where: str):
     """Resolve one ``checks`` entry into its call, without running it.
 
-    Each branch reads exactly the keys its check takes, so the branches are
-    the list of checks.  A key no branch reads, a missing required key or an
-    ill-typed value raises ConfigError naming ``checks[i].<key>``.  Each check
-    is looked up on the ``inequalities`` module when its call is built, so a
-    rebound name takes effect.
+    Each branch reads exactly the keys its check takes, with their defaults
+    and JSON types, and hands the values to the check's argument rules
+    (``inequalities._<name>_args``), so the branches are the list of checks.
+    A key no branch reads, a missing required key, an ill-typed value or a
+    value the rules reject raises ConfigError naming ``checks[i].<key>``.
+    Each check is looked up on the ``inequalities`` module when its call is
+    built, so a rebound name takes effect.
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -355,77 +328,82 @@ def _one_check(model, cfg: dict, entry, where: str):
         used.add(key)
         return _req(entry, key, where) if default is ... else entry.get(key, default)
 
-    def num(key, default=..., *bounds, **kw):
-        return _num(get(key, default), f"{where}.{key}", *bounds, **kw)
+    def num(key, default=..., kind=float):
+        return _num(get(key, default), f"{where}.{key}", kind)
 
-    def array(key, default, ndim, size=None):
-        return _numeric_array(get(key, default), f"{where}.{key}", ndim, size)
+    def array(key, default):
+        return _numeric_array(get(key, default), f"{where}.{key}")
+
+    def rules(*args, **kwargs):
+        _rule(f"{where}.", getattr(inequalities, f"_{name}_args"), *args, **kwargs)
 
     name = _req(entry, "name", where)
-    seed = num("seed", cfg["seed"], int, 0)
+    seed = num("seed", cfg["seed"], int)
     default_steps = min(cfg["grid"]["N"], 256)
     if name in ("anderson", "cameron_martin"):
-        steps = num("n_steps", default_steps, int, 2)
-        check = getattr(inequalities, f"check_{name}")
-        alpha = _validate_alpha(get("alpha"), model, where=f"{where}.")
+        alpha, eps = num("alpha"), num("eps")
+        kwargs = dict(n=num("n", 20000, int), seed=seed,
+                      n_steps=num("n_steps", default_steps, int))
+        rules(model, alpha, eps, **kwargs)
         default_center = None if name == "anderson" else [1.0] + [0.0] * (model.dim - 1)
         center = get("center", default_center)
         if center is not None or name == "cameron_martin":  # anderson's null: no centre
-            times = np.linspace(0.0, model.horizon, steps + 1)  # a straight-line drift
-            center = CMPath(times, np.outer(times / model.horizon,
-                                            array("center", default_center, 1, model.dim)))
-        call = partial(check, model, alpha, center, num("eps", low=0, low_open=True),
-                       n=num("n", 20000, int, 2 if name == "cameron_martin" else 1),
-                       seed=seed, n_steps=steps,
-                       variant=cfg["variant"])
+            center = array("center", default_center)
+            if center.shape != (model.dim,):
+                raise ConfigError(f"{where}.center: expected a list of {model.dim} numbers")
+            times = np.linspace(0.0, model.horizon, kwargs["n_steps"] + 1)  # a straight line
+            center = CMPath(times, np.outer(times / model.horizon, center))
+        call = partial(getattr(inequalities, f"check_{name}"), model, alpha, center, eps,
+                       **kwargs, variant=cfg["variant"])
     elif name == "sidak":
-        cov = array("cov", [[1.0, 0.5], [0.5, 1.0]], 2)
-        try:  # the check's own rule: square, symmetric, positive semidefinite
-            inequalities._validate_cov(cov)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.cov: {exc}") from exc
-        size = cov.shape[0]
-        thresholds = array("thresholds", [1.0] * size, 1)
-        if thresholds.size != size or np.any(thresholds <= 0):
-            raise ConfigError(f"{where}.thresholds: expected one positive threshold per "
-                              f"cov row ({size}), got {thresholds.tolist()}")
-        level = num("chaos_level", 1, int, 1, 2)
-        method = _choice(get("method", "auto"), f"{where}.method", ("auto", "quadrature", "mc"))
-        forms, p = get("forms", None), 1
+        cov = array("cov", [[1.0, 0.5], [0.5, 1.0]])
+        forms = get("forms", None)
         if forms is not None:
-            forms, p = _sidak_forms(forms, where, size)
-        elif level == 2 and size != 2:
-            raise ConfigError(f"{where}.cov: chaos level 2 without forms needs a 2 x 2 cov "
-                              f"(two 1-dim blocks), got {size} x {size}")
-        if level == 2 and not np.allclose(cov[:p, p:], 0.0, atol=1e-12):
-            raise ConfigError(f"{where}.cov: chaos level 2 needs independent blocks of sizes "
-                              f"{p} and {size - p} (zero cross-covariance)")
-        if level == 1 and method == "quadrature" and size > 3:
-            raise ConfigError(f"{where}.method: quadrature supports a cov of at most 3 x 3, "
-                              f"got {size} x {size}")
-        call = partial(inequalities.check_sidak, cov, thresholds, chaos_level=level,
-                       method=method, n=num("n", 200000, int, 1), seed=seed, forms=forms)
+            forms = _typed_forms(forms, f"{where}.forms")
+        thresholds = array("thresholds", np.ones(cov.shape[:1]))  # one per cov row
+        kwargs = dict(chaos_level=num("chaos_level", 1, int), method=get("method", "auto"),
+                      n=num("n", 200000, int), seed=seed, forms=forms)
+        rules(cov, thresholds, **kwargs)
+        call = partial(inequalities.check_sidak, cov, thresholds, **kwargs)
     elif name == "borell_shift":
         set_spec = get("set", ["half_space", 0.0])
         if not (isinstance(set_spec, list) and len(set_spec) == 2):
             raise ConfigError(f"{where}.set: expected [\"half_space\" or \"box\", number]")
-        set_kind = _choice(set_spec[0], f"{where}.set[0]", ("half_space", "box"))
-        call = partial(inequalities.check_borell_shift, num("dimension", 1, int, 1),
-                       (set_kind, _num(set_spec[1], f"{where}.set[1]", float)),
-                       num("lam", 1.0, float, 0), n=num("n", 200000, int, 1), seed=seed)
+        args = (num("dimension", 1, int), (set_spec[0], _num(set_spec[1], f"{where}.set[1]")),
+                num("lam", 1.0))
+        kwargs = dict(n=num("n", 200000, int), seed=seed)
+        rules(*args, **kwargs)
+        call = partial(inequalities.check_borell_shift, *args, **kwargs)
     elif name == "borell_shift_rough":
-        call = partial(inequalities.check_borell_shift_rough, model,
-                       _validate_alpha(get("alpha"), model, where=f"{where}."),
-                       num("eps", low=0, low_open=True), num("lam", 0.5, float, 0),
-                       n=num("n", 4000, int, 2), seed=seed,
-                       n_steps=num("n_steps", default_steps, int, 2),
-                       n_directions=num("n_directions", 8, int, 1), variant=cfg["variant"])
+        args = (model, num("alpha"), num("eps"), num("lam", 0.5))
+        kwargs = dict(n=num("n", 4000, int), seed=seed,
+                      n_steps=num("n_steps", default_steps, int),
+                      n_directions=num("n_directions", 8, int))
+        rules(*args, **kwargs)
+        call = partial(inequalities.check_borell_shift_rough, *args, **kwargs,
+                       variant=cfg["variant"])
     elif name == "canary_violation":
-        call = partial(inequalities.canary_violation, n=num("n", 100000, int, 1), seed=seed)
+        kwargs = dict(n=num("n", 100000, int), seed=seed)
+        rules(**kwargs)
+        call = partial(inequalities.canary_violation, **kwargs)
     else:
         raise ConfigError(f"{where}.name: unknown check {name!r}")
     _no_extras(entry, used, where)
     return call
+
+
+def _typed_forms(forms, key: str) -> list:
+    """Sidak ``forms`` as (kind, float array, float) triples; the check's rules
+    judge the kinds, shapes and values."""
+    if not isinstance(forms, list):
+        raise ConfigError(f"{key}: expected a list of [kind, coefficients, eps]")
+    out = []
+    for k, form in enumerate(forms):
+        if not (isinstance(form, list) and len(form) == 3):
+            raise ConfigError(f"{key}[{k}]: expected [kind, coefficients, eps]")
+        out.append((form[0], _numeric_array(form[1], f"{key}[{k}][1]"),
+                    _num(form[2], f"{key}[{k}][2]")))
+    return out
 
 
 def resolve_checks(model: CovarianceModel, cfg: dict) -> list:

@@ -17,13 +17,16 @@ imported by the functions that call them so that importing this module
 loads no scipy.
 
 Reports are data objects with a ``to_dict`` form; the runner formats and
-writes the report artifacts.  ``config.resolve_checks`` validates a
-config's check entries; the checks raise ValueError on bad library calls.
+writes the report artifacts.  Each check's argument rules live in one
+function, ``_<check>_args``, which the check calls before it samples and
+``config.resolve_checks`` calls on a config's check entries; it raises
+ValueError('<argument>: <rule>'), naming each argument by its config key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +41,8 @@ from .gaussian import (
     sample_rng,
 )
 from .paths import CMPath, dyadic_level_maxima
-from .smallball import sample_dyadic_level_maxima, wilson_interval
+from .smallball import (_at_least, _check_alpha, _positive, sample_dyadic_level_maxima,
+                        wilson_interval)
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
 
@@ -88,11 +92,6 @@ def _verdict(margin: float, pooled_se: float | None, det_tol: float = 1e-10) -> 
     return "violated"
 
 
-def _check_n(n: int, low: int = 1) -> None:
-    if n < low:
-        raise ValueError(f"n must be >= {low}, got {n}")
-
-
 def _exact_report(name, lhs, rhs, config, notes=(), extras=None) -> InequalityReport:
     """Report for a claim lhs >= rhs whose two sides are computed exactly."""
     margin = lhs - rhs
@@ -122,6 +121,119 @@ def _proportion_report(name, hits, n, rhs, config, se=None, notes=(),
 
 
 # ---------------------------------------------------------------------------
+# Argument rules: one function per check, called before anything is sampled
+# ---------------------------------------------------------------------------
+
+
+def _anderson_args(model, alpha, eps, n, seed, n_steps, n_low=1) -> None:
+    """The rules of the checks on dyadic lifted-ball norms; the others need
+    n >= n_low = 2 for a sample standard error."""
+    _check_alpha(model, alpha, "rough_holder_dyadic")
+    _positive("eps", eps)
+    _at_least(n_low, n=n)
+    _at_least(0, seed=seed)
+    if n_steps < 2 or n_steps & (n_steps - 1):
+        raise ValueError(f"n_steps: must be a power of two >= 2, got {n_steps}")
+
+
+_cameron_martin_args = partial(_anderson_args, n_low=2)
+
+
+def _borell_shift_rough_args(model, alpha, eps, lam, n, seed, n_steps, n_directions) -> None:
+    _anderson_args(model, alpha, eps, n, seed, n_steps, n_low=2)
+    _at_least(0, lam=lam)
+    _at_least(1, n_directions=n_directions)
+
+
+def _borell_shift_args(dimension, set_spec, lam, n, seed) -> None:
+    kind, param = set_spec
+    if kind not in ("half_space", "box"):
+        raise ValueError(f"set[0]: must be 'half_space' or 'box', got {kind!r}")
+    if kind == "box":
+        _positive("set[1]", param)
+    _at_least(1, dimension=dimension, n=n)
+    _at_least(0, lam=lam, seed=seed)
+
+
+def _canary_violation_args(n, seed) -> None:
+    _at_least(1, n=n)
+    _at_least(0, seed=seed)
+
+
+def _sidak_args(cov, thresholds, chaos_level, method, n, seed, forms):
+    """check_sidak's arguments as (cov, thresholds, forms, p): float arrays,
+    the level-2 forms (the default pair at level 2 without forms) and p, the
+    size of the x block."""
+    if method not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"method: must be 'auto', 'quadrature' or 'mc', got {method!r}")
+    if chaos_level not in (1, 2):
+        raise ValueError(f"chaos_level: must be 1 or 2, got {chaos_level}")
+    _at_least(1, n=n)
+    _at_least(0, seed=seed)
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError("cov: covariance must be a square matrix")
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise ValueError("cov: covariance must be symmetric")
+    w = np.linalg.eigvalsh(cov)
+    if w.min() < -1e-10 * max(1.0, w.max()):
+        raise ValueError("cov: covariance must be positive semidefinite")
+    size = cov.shape[0]
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.shape != (size,) or np.any(thresholds <= 0):
+        raise ValueError(f"thresholds: expected one positive threshold per cov row ({size}), "
+                         f"got {thresholds.tolist()}")
+    if chaos_level == 1 and method == "quadrature" and size > 3:
+        raise ValueError(f"method: quadrature supports a cov of at most 3 x 3, "
+                         f"got {size} x {size}")
+    if forms is None and chaos_level == 2:
+        if size != 2:
+            raise ValueError(f"cov: chaos level 2 without forms needs a 2 x 2 cov "
+                             f"(two 1-dim blocks), got {size} x {size}")
+        forms = [("bilinear", np.ones((1, 1)), float(thresholds[0])),
+                 ("linear_x", np.ones(1), float(thresholds[1]))]
+    p = 1
+    if forms is not None:
+        forms, p = _sidak_forms(forms, size)
+    if chaos_level == 2 and not np.allclose(cov[:p, p:], 0.0, atol=1e-12):
+        raise ValueError(f"cov: chaos level 2 needs independent blocks of sizes {p} and "
+                         f"{size - p} (zero cross-covariance)")
+    return cov, thresholds, forms, p
+
+
+def _sidak_forms(forms, size: int) -> tuple[list, int]:
+    """Forms as (kind, float coefficients, eps) triples, and p.
+
+    The first bilinear form's p x q matrix fixes the block sizes: every
+    bilinear form must be p x q, every linear_x vector of length p and every
+    linear_y vector of length q, and p + q must equal the size of cov.
+    """
+    out = [(kind, np.asarray(c, dtype=float), eps) for kind, c, eps in forms]
+    for k, (kind, coefficients, eps) in enumerate(out):
+        if kind not in ("bilinear", "linear_x", "linear_y"):
+            raise ValueError(f"forms[{k}][0]: must be 'bilinear', 'linear_x' or 'linear_y', "
+                             f"got {kind!r}")
+        if kind == "bilinear" and coefficients.ndim != 2:
+            raise ValueError(f"forms[{k}][1]: a bilinear form needs a matrix, "
+                             f"got shape {coefficients.shape}")
+        _positive(f"forms[{k}][2]", eps)
+    first = next((c for kind, c, _ in out if kind == "bilinear"), None)
+    if first is None:
+        raise ValueError("forms: needs at least one bilinear form")
+    p, q = first.shape
+    if p + q != size:
+        raise ValueError(f"cov: stacked covariance size {size} must equal {p} + {q}, the "
+                         "block sizes of the first bilinear form")
+    shapes = {"bilinear": (p, q), "linear_x": (p,), "linear_y": (q,)}
+    for k, (kind, coefficients, _) in enumerate(out):
+        if coefficients.shape != shapes[kind]:
+            raise ValueError(f"forms[{k}][1]: a {kind} form needs coefficients of shape "
+                             f"{shapes[kind]} for blocks of sizes {p} and {q}, "
+                             f"got {coefficients.shape}")
+    return out, p
+
+
+# ---------------------------------------------------------------------------
 # Shared samplers
 # ---------------------------------------------------------------------------
 
@@ -130,7 +242,7 @@ def _drift_values(model: CovarianceModel, h: CMPath, n_steps: int) -> np.ndarray
     """Values (N+1, d) of a drift on the simulation grid."""
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     if h.values.shape != (n_steps + 1, model.dim) or not np.allclose(h.times, times):
-        raise ValueError("drift path must live on the simulation grid")
+        raise ValueError("center: must be a drift path on the simulation grid")
     return h.values
 
 
@@ -181,6 +293,7 @@ def check_anderson(model: CovarianceModel, alpha: float, center: CMPath | None, 
     Both probabilities are estimated from the same simulated lifts; with no
     center (None) the two events coincide and the margin is exactly zero.
     """
+    _anderson_args(model, alpha, eps, n, seed, n_steps)
     centre = None if center is None else _drift_values(model, center, n_steps)
     ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant, centre=centre)
     origin = ens.rough_norms(alpha)
@@ -207,7 +320,7 @@ def check_cameron_martin(model: CovarianceModel, alpha: float, h: CMPath, eps: f
     tightest split (a=0); the others ride along in extras.  Needs n >= 2
     for the splits' standard errors.
     """
-    _check_n(n, 2)
+    _cameron_martin_args(model, alpha, eps, n, seed, n_steps)
     ens = sample_dyadic_level_maxima(model, n, seed, n_steps, variant,
                                      centre=_drift_values(model, h, n_steps))
     origin, centered = ens.rough_norms(alpha), ens.centred_norms(alpha)
@@ -236,24 +349,10 @@ def check_cameron_martin(model: CovarianceModel, alpha: float, h: CMPath, eps: f
 # ---------------------------------------------------------------------------
 
 
-def _validate_cov(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    w = np.linalg.eigvalsh(cov)
-    if w.min() < -1e-10 * max(1.0, w.max()):
-        raise ValueError("covariance must be positive semidefinite")
-    return cov
-
-
 def _gaussian_box_probability(cov: np.ndarray, thresholds: np.ndarray,
                               nodes: int = 96) -> float:
     """P[|X_i| < eps_i for all i], X ~ N(0, cov), by tensor Gauss-Legendre."""
     d = cov.shape[0]
-    if d > 3:
-        raise ValueError("quadrature joint probability supported for d <= 3")
     x_1d, w_1d = np.polynomial.legendre.leggauss(nodes)
     axes = []
     weights = []
@@ -309,24 +408,15 @@ def check_sidak(cov_matrix, thresholds, chaos_level: int = 1, method: str = "aut
     Estimated by Monte Carlo on common samples with an influence-function
     standard error for the joint-minus-product margin.
     """
-    if method not in ("auto", "quadrature", "mc"):
-        raise ValueError(f"method must be 'auto', 'quadrature' or 'mc', got {method!r}")
-    _check_n(n)
-    cov = _validate_cov(cov_matrix)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds <= 0):
-        raise ValueError("thresholds must be positive")
+    cov, thresholds, forms, p = _sidak_args(cov_matrix, thresholds, chaos_level, method, n,
+                                            seed, forms)
     if chaos_level == 1:
         return _check_sidak_level1(cov, thresholds, method, n, seed)
-    if chaos_level == 2:
-        return _check_sidak_level2(cov, thresholds, n, seed, forms)
-    raise ValueError(f"chaos_level must be 1 or 2, got {chaos_level}")
+    return _check_sidak_level2(cov, thresholds, n, seed, forms, p)
 
 
 def _check_sidak_level1(cov, thresholds, method, n, seed) -> InequalityReport:
     d = cov.shape[0]
-    if thresholds.size != d:
-        raise ValueError("one threshold per coordinate")
     sigmas = np.sqrt(np.diag(cov))
     product = float(np.prod([_interval_probability(e, s) for e, s in zip(thresholds, sigmas)]))
     config = {"d": d, "thresholds": thresholds.tolist(), "chaos_level": 1, "seed": seed}
@@ -362,37 +452,7 @@ def _check_sidak_level1(cov, thresholds, method, n, seed) -> InequalityReport:
     )
 
 
-def _default_level2_forms(p: int, q: int, thresholds) -> list:
-    if p == 1 and q == 1 and thresholds.size == 2:
-        return [("bilinear", np.ones((1, 1)), float(thresholds[0])),
-                ("linear_x", np.ones(1), float(thresholds[1]))]
-    raise ValueError("chaos level 2 needs explicit forms unless blocks are 1-dim")
-
-
-def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
-    d = cov.shape[0]
-    if forms is None:
-        if d != 2:
-            raise ValueError("default level-2 forms need a 2-dim stacked covariance")
-        p = q = 1
-        forms = _default_level2_forms(p, q, thresholds)
-    else:
-        first = next((f for f in forms if f[0] == "bilinear"), None)
-        if first is None:
-            raise ValueError("level-2 forms need at least one bilinear form")
-        p, q = np.shape(first[1])
-        if p + q != d:
-            raise ValueError("stacked covariance size must equal x-dim + y-dim")
-        shapes = {"bilinear": (p, q), "linear_x": (p,), "linear_y": (q,)}
-        for kind, coefficients, _ in forms:
-            if kind not in shapes:
-                raise ValueError(f"unknown form kind {kind!r}")
-            if np.shape(coefficients) != shapes[kind]:
-                raise ValueError(f"a {kind} form needs coefficients of shape {shapes[kind]} "
-                                 f"for blocks of sizes {p} and {q}, got {np.shape(coefficients)}")
-    if not np.allclose(cov[:p, p:], 0.0, atol=1e-12):
-        raise ValueError("x and y blocks must be independent (zero cross-covariance)")
-
+def _check_sidak_level2(cov, thresholds, n, seed, forms, p) -> InequalityReport:
     n_events = len(forms)
     hit_each = np.zeros(n_events, dtype=np.int64)
     hit_joint = 0
@@ -404,11 +464,11 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
         for k, spec in enumerate(forms):
             kind, mat, eps = spec
             if kind == "bilinear":
-                val = np.einsum("si,ij,sj->s", xs, np.asarray(mat, dtype=float), ys)
+                val = np.einsum("si,ij,sj->s", xs, mat, ys)
             elif kind == "linear_x":
-                val = xs @ np.asarray(mat, dtype=float)
+                val = xs @ mat
             else:
-                val = ys @ np.asarray(mat, dtype=float)
+                val = ys @ mat
             ind[:, k] = np.abs(val) < eps
         joint = np.all(ind, axis=1)
         hit_each += ind.sum(axis=0)
@@ -428,8 +488,7 @@ def _check_sidak_level2(cov, thresholds, n, seed, forms) -> InequalityReport:
     w = np.concatenate([-coef, [1.0]])
     var_phi = float(w @ cov_ind @ w)
     se = float(np.sqrt(max(var_phi, 0.0) / n))
-    config = {"chaos_level": 2, "n": n, "seed": seed,
-              "thresholds": np.asarray(thresholds, float).tolist(),
+    config = {"chaos_level": 2, "n": n, "seed": seed, "thresholds": thresholds.tolist(),
               "forms": [f[0] for f in forms]}
     return _proportion_report("sidak_level2", hit_joint, n, product, config, se=se,
                               extras={"p_each": p_each.tolist()})
@@ -452,11 +511,7 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
     """
     from scipy.special import ndtr, ndtri
 
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    _check_n(n)
+    _borell_shift_args(dimension, set_spec, lam, n, seed)
     kind, param = set_spec
     config = {"dimension": dimension, "set": kind, "param": param, "lam": lam,
               "n": n, "seed": seed}
@@ -466,11 +521,7 @@ def check_borell_shift(dimension: int, set_spec, lam: float, n: int = 200000,
             "borell_shift", float(ndtr(param + lam)), float(ndtr(lam + ndtri(p_a))), config,
             notes=("half-space is the equality case; both sides analytic",),
         )
-    if kind != "box":
-        raise ValueError("set_spec must be ('half_space', a) or ('box', r)")
     r = float(param)
-    if r <= 0:
-        raise ValueError("box radius must be positive")
     p_a = _interval_probability(r, 1.0) ** dimension
     hits = 0
     for x in _normal_blocks(n, dimension, seed):
@@ -517,13 +568,7 @@ def check_borell_shift_rough(model: CovarianceModel, alpha: float, eps: float,
     """
     from scipy.special import ndtr, ndtri
 
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    _check_n(n, 2)
-    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"n_steps must be a power of two, got {n_steps}")
+    _borell_shift_rough_args(model, alpha, eps, lam, n, seed, n_steps, n_directions)
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     plan = SamplerPlan(model, times)
     meshes = [np.zeros((n_steps + 1, model.dim))]
@@ -576,7 +621,7 @@ def canary_violation(n: int = 100000, seed: int = 0) -> InequalityReport:
     Exercises the 'violated' verdict path end to end; any consumer treating
     violations as fatal should trip on this check.
     """
-    _check_n(n)
+    _canary_violation_args(n, seed)
     hits = sum(int(np.sum(np.abs(x[:, 0]) < 1.0)) for x in _normal_blocks(n, 1, seed))
     p = hits / n
     return _proportion_report(

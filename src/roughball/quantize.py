@@ -31,7 +31,7 @@ from .gaussian import (
 from .paths import (GridRoughPath, _check_holder_alpha, _chunk_bounds,
                     _component_difference, _component_major, _component_norms,
                     _dyadic_pairs, _gathered_increments, batch_prefix)
-from .smallball import SBPCurve
+from .smallball import SBPCurve, _at_least, _positive
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +512,26 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
     return LiftedSet.from_paths(centers)
 
 
+def _lloyd_args(m: int, n: int, r: float, max_iter: int, tol: float, mode: str,
+                n_name: str = "n") -> str:
+    """Check lloyd_codebook's arguments for m training paths, before any
+    distance is computed, and return the update mode 'auto' resolves to.
+    Messages read '<argument>: <rule>', with n called n_name."""
+    if not 1 <= n <= m:
+        raise ValueError(f"{n_name}: need 1 <= n <= {m} centers, got {n}")
+    _at_least(1, max_iter=max_iter)
+    _positive("tol", tol)
+    if mode not in ("auto", "medoid", "mean"):
+        raise ValueError(f"mode: must be 'auto', 'medoid' or 'mean', got {mode!r}")
+    if mode == "auto":
+        mode = "mean" if r == 2.0 else "medoid"
+    if mode == "mean" and r != 2.0:
+        raise ValueError("mode: mean updates are justified for r = 2 only")
+    if mode == "medoid" and m > 4096:
+        raise ValueError("mode: medoid updates are quadratic per cluster; use <= 4096 samples")
+    return mode
+
+
 def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: int = 0,
                    max_iter: int = 60, tol: float = 1e-6, mode: str = "auto",
                    variant: str = DEFAULT_NORM_VARIANT) -> Codebook:
@@ -528,14 +548,7 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: in
     if not isinstance(samples, LiftedSet):
         samples = LiftedSet.from_paths(samples)
     m = samples.size
-    if not (1 <= n <= m):
-        raise ValueError(f"need 1 <= n <= {m} centers, got {n}")
-    if mode == "auto":
-        mode = "mean" if r == 2.0 else "medoid"
-    if mode == "mean" and r != 2.0:
-        raise ValueError("mean updates are justified for r = 2 only")
-    if mode == "medoid" and m > 4096:
-        raise ValueError("medoid updates are quadratic per cluster; use <= 4096 samples")
+    mode = _lloyd_args(m, n, r, max_iter, tol, mode)
 
     centers = samples.subset(_kmeanspp_init(samples, n, r, alpha, variant, seed))
 
@@ -872,6 +885,19 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float
     return max(total, 0.0) ** (1.0 / r)
 
 
+def _empirical_args(n_list, reps: int, m_weights: int, test_size: int, bootstrap: int):
+    """Check empirical_rate_experiment's counts before anything is sampled.
+    Messages read '<argument>: <rule>'."""
+    if len(n_list) == 0:
+        raise ValueError("n_list: needs at least one atom count")
+    _at_least(1, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}, reps=reps,
+              m_weights=m_weights, test_size=test_size)
+    _at_least(0, bootstrap=bootstrap)
+    if test_size + max(n_list) > 4096:
+        raise ValueError(f"test_size: the reference cloud plus the largest atom count, "
+                         f"{test_size} + {max(n_list)}, exceeds the transport size limit 4096")
+
+
 def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
                               n_list, reps: int, m_weights: int, test_size: int,
                               seed: int = 0, n_steps: int = 64, bootstrap: int = 8,
@@ -890,11 +916,8 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
     can be evaluated per cell.  The constant-free prediction (log n)^-beta,
     beta = 1/(2 rho) - alpha, is reported alongside, never asserted.
     """
+    _empirical_args(n_list, reps, m_weights, test_size, bootstrap)
     n_list = sorted(int(v) for v in n_list)
-    if n_list[0] < 1:
-        raise ValueError("atom counts must be positive")
-    if test_size + n_list[-1] > 4096:
-        raise ValueError("reference cloud plus atoms exceeds the transport size limit")
     beta = 1.0 / (2.0 * model.rho) - alpha
     if beta <= 0:
         raise ValueError(f"alpha must lie below 1/(2 rho) = {1.0 / (2.0 * model.rho):g}")

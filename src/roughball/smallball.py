@@ -384,13 +384,28 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
                                                                      bound_scale, e)))
 
 
+# Argument rules shared by the library's entry points; like every argument
+# rule, they raise ValueError('<argument>: <rule>').
+
+
+def _at_least(low, **values) -> None:
+    for name, value in values.items():
+        if value < low:
+            raise ValueError(f"{name}: must be >= {low}, got {value}")
+
+
+def _positive(name: str, value) -> None:
+    if not value > 0:
+        raise ValueError(f"{name}: must be > 0, got {value}")
+
+
 def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:
     if norm_kind == "path_holder":
         _check_holder_alpha(alpha)
         return
     upper = 1.0 / (2.0 * model.rho)
     if not (1.0 / 3.0 < alpha < upper):
-        raise ValueError(f"alpha must lie in (1/3, {upper:g}), got {alpha}")
+        raise ValueError(f"alpha: must lie in (1/3, {upper:g}), got {alpha}")
 
 
 def estimate_sbp_curve(model: CovarianceModel, alpha: float, norm_kind: str, eps_list,

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughball import ConfigError, StrictViolationError, echo_config, parse_config, run
@@ -78,7 +78,7 @@ def test_unknown_keys_are_named_in_errors():
 
 
 def test_alpha_window_error_message_exact():
-    with pytest.raises(ConfigError, match=r"alpha must lie in \(1/3, 0.5\)"):
+    with pytest.raises(ConfigError, match=r"alpha: must lie in \(1/3, 0.5\)"):
         parse_config(dict(TINY_SBP, alpha=0.55))
     with pytest.raises(ConfigError):
         parse_config(dict(TINY_SBP, alpha=1.0 / 3.0))
@@ -253,6 +253,12 @@ BAD_CHECK_ENTRIES = [
     ({"name": "cameron_martin", "alpha": 0.4, "eps": 1.5, "n": 1}, "checks[1].n: must be >= 2"),
     ({"name": "borell_shift_rough", "alpha": 0.4, "eps": 1.5, "n": 1},
      "checks[1].n: must be >= 2"),
+    ({"name": "anderson", "alpha": 0.4, "eps": 1.5, "n_steps": 100}, "checks[1].n_steps"),
+    ({"name": "cameron_martin", "alpha": 0.4, "eps": 1.5, "n_steps": 100}, "checks[1].n_steps"),
+    ({"name": "borell_shift_rough", "alpha": 0.4, "eps": 1.5, "n_steps": 100},
+     "checks[1].n_steps"),
+    ({"name": "borell_shift", "set": ["box", 0.0]}, "checks[1].set[1]"),
+    ({"name": "borell_shift", "set": ["box", -1.0]}, "checks[1].set[1]"),
 ]
 
 
@@ -275,6 +281,45 @@ def test_bad_check_entries_exit_two_before_any_check_runs(tmp_path, monkeypatch,
     assert f"config error: {key}" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
+
+
+TINY_QUANTIZE = {"experiment": "quantize", "model": {"kind": "brownian", "d": 1}, "alpha": 0.4,
+                 "grid": {"N": 16}, "n_centers": [2, 4], "n_train": 8}
+TINY_EMPIRICAL = {"experiment": "empirical", "model": {"kind": "brownian", "d": 1},
+                  "alpha": 0.4, "grid": {"N": 16}, "n_list": [4, 8], "test_size": 16}
+
+# Configs whose values the run itself would reject: each is a config error.
+BAD_VALUES = [
+    (dict(TINY_QUANTIZE, mode="foo"), "mode: must be"),
+    (dict(TINY_QUANTIZE, mode="mean", r=1.0), "mode: mean updates"),
+    (dict(TINY_QUANTIZE, max_iter=0), "max_iter: must be >= 1"),
+    (dict(TINY_QUANTIZE, tol=0.0), "tol: must be > 0"),
+    (dict(TINY_QUANTIZE, tol=-1e-3), "tol: must be > 0"),
+    (dict(TINY_QUANTIZE, n_centers=[2, 9]), "n_centers[1]: need 1 <= n <= 8"),
+    (dict(TINY_QUANTIZE, n_centers=[0]), "n_centers[0]: need 1 <= n <= 8"),
+    (dict(TINY_EMPIRICAL, test_size=4000, n_list=[8, 128]), "test_size: "),
+    (dict(TINY_EMPIRICAL, reps=0), "reps: must be >= 1"),
+    (dict(TINY_EMPIRICAL, n_list=[4, 0]), "n_list[1]: must be >= 1"),
+    (dict(TINY_SBP, norm_kind="rough_holder_lemma_bound", grid={"N": 4}), "grid.N: "),
+    (dict(TINY_SBP, norm_kind="rough_holder_lemma_bound", grid={"N": 2}), "grid.N: "),
+]
+
+
+@pytest.mark.parametrize("cfg, key", BAD_VALUES)
+def test_values_the_run_rejects_exit_two(tmp_path, capsys, cfg, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value).startswith(key)
+    out = tmp_path / "out"
+    assert main([cfg["experiment"], "--config", _write_cfg(tmp_path, cfg), "--out",
+                 str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lemma_bound_needs_a_grid_of_eight_steps():
+    cfg = parse_config(dict(TINY_SBP, norm_kind="rough_holder_lemma_bound", grid={"N": 8}))
+    assert cfg.data["grid"]["N"] == 8
 
 
 # The keys each check takes, written out independently of the resolver.
@@ -308,7 +353,7 @@ def _valid_values(draw, dim: int) -> dict:
         "eps": draw(POSITIVE),
         "n": draw(st.integers(2, 10**6)),
         "seed": draw(st.integers(0, 2**31)),
-        "n_steps": draw(st.integers(2, 256)),
+        "n_steps": 2 ** draw(st.integers(1, 8)),
         "center": draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)),
         "cov": np.eye(p + q).tolist(),
         "thresholds": vector(p + q),
@@ -316,7 +361,8 @@ def _valid_values(draw, dim: int) -> dict:
         "method": draw(st.sampled_from(["auto", "quadrature", "mc"])),
         "forms": [["bilinear", [vector(q) for _ in range(p)], draw(POSITIVE)]] + extra,
         "dimension": draw(st.integers(1, 5)),
-        "set": [draw(st.sampled_from(["half_space", "box"])), draw(st.floats(-3.0, 3.0))],
+        "set": draw(st.one_of(st.tuples(st.just("half_space"), st.floats(-3.0, 3.0)),
+                              st.tuples(st.just("box"), POSITIVE)).map(list)),
         "lam": draw(st.floats(0.0, 5.0)),
         "n_directions": draw(st.integers(1, 16)),
     }
@@ -331,6 +377,9 @@ def _check_entry(draw, dim: int) -> dict:
     for key in CHECK_KEYS[name]:
         if key in REQUIRED_KEYS or draw(st.booleans()):
             entry[key] = values[key]
+    if name == "sidak" and "cov" not in entry:  # sized for the drawn cov, not the default
+        entry.pop("thresholds", None)
+        entry.pop("forms", None)
     fault = draw(st.sampled_from([None, "ill_typed", "missing", "unknown"]))
     if fault == "ill_typed":
         entry[draw(st.sampled_from(CHECK_KEYS[name]))] = draw(ILL_TYPED)
@@ -341,6 +390,15 @@ def _check_entry(draw, dim: int) -> dict:
     return entry
 
 
+class _Sampled(Exception):
+    """Raised by the stubbed samplers: the call got past its argument checks."""
+
+
+def _no_sampling(*args, **kwargs):
+    raise _Sampled
+
+
+@settings(max_examples=300)  # at 100, no drawn sidak entry is accepted
 @given(st.integers(1, 2).flatmap(
     lambda dim: st.tuples(st.just(dim), st.lists(_check_entry(dim), min_size=1, max_size=3))))
 def test_check_entries_resolve_or_name_their_key(case):
@@ -355,8 +413,20 @@ def test_check_entries_resolve_or_name_their_key(case):
     for entry in entries:  # an accepted entry holds its required keys and no others
         keys = CHECK_KEYS[entry["name"]]
         assert {k for k in REQUIRED_KEYS if k in keys} <= set(entry) <= {"name", *keys}
-    assert len(resolve_checks(cfg.model(), cfg.data)) == len(entries)
+    calls = resolve_checks(cfg.model(), cfg.data)
+    assert len(calls) == len(entries)
     assert parse_config(echo_config(cfg)).hash == cfg.hash
+    # an accepted entry passes its check's rules: the call gets to sampling
+    # (or, for the exact half-space and quadrature sides, to a report)
+    with pytest.MonkeyPatch.context() as mp:
+        for target in ("_normal_blocks", "map_sample_blocks", "sample_dyadic_level_maxima",
+                       "_gaussian_box_probability"):
+            mp.setattr(inequalities, target, _no_sampling)
+        for call in calls:
+            try:
+                assert isinstance(call(), inequalities.InequalityReport)
+            except _Sampled:
+                pass
 
 
 def test_audit_run_covers_model_diagnostics(tmp_path):

@@ -1,5 +1,7 @@
 """Correlation and shift inequality checks and their report plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -98,7 +100,7 @@ def test_sidak_level_two_checks_form_shapes(forms, message):
 
 
 def test_sidak_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method must be 'auto', 'quadrature' or 'mc'"):
+    with pytest.raises(ValueError, match="method: must be 'auto', 'quadrature' or 'mc'"):
         check_sidak(np.eye(2), [1.0, 1.0], method="quadratur")
 
 
@@ -114,6 +116,25 @@ def test_sidak_rejects_unknown_method():
     (lambda: check_cameron_martin(brownian_model(), 0.4, _drift(), 1.5, n=1, n_steps=16), "n"),
     (lambda: check_borell_shift_rough(brownian_model(), 0.4, 0.0, 0.5, n_steps=16), "eps"),
     (lambda: check_borell_shift_rough(brownian_model(), 0.4, -1.0, 0.5, n_steps=16), "eps"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, -0.5, n_steps=16), "lam"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, 0.5, n_steps=16,
+                                      n_directions=0), "n_directions"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.6, 1.5, 0.5, n_steps=16), "alpha"),
+    (lambda: check_borell_shift_rough(brownian_model(), 0.4, 1.5, 0.5, n_steps=100),
+     "n_steps"),
+    (lambda: check_anderson(brownian_model(), 0.3, None, 1.5, n_steps=16), "alpha"),
+    (lambda: check_anderson(brownian_model(), 0.4, None, 0.0, n_steps=16), "eps"),
+    (lambda: check_anderson(brownian_model(), 0.4, None, 1.5, n_steps=100), "n_steps"),
+    (lambda: check_anderson(brownian_model(), 0.4, None, 1.5, seed=-1, n_steps=16), "seed"),
+    (lambda: check_cameron_martin(brownian_model(), 0.4, _drift(16), -1.0, n_steps=16), "eps"),
+    (lambda: check_cameron_martin(brownian_model(), 0.4, _drift(), 1.5, n_steps=16), "center"),
+    (lambda: check_borell_shift(2, ("box", 0.0), 0.5), "set[1]"),
+    (lambda: check_borell_shift(2, ("box", -1.0), 0.5), "set[1]"),
+    (lambda: check_borell_shift(2, ("ball", 1.0), 0.5), "set[0]"),
+    (lambda: check_borell_shift(2, ("half_space", 0.0), -0.5), "lam"),
+    (lambda: check_sidak(np.eye(2), [1.0, 1.0], chaos_level=3), "chaos_level"),
+    (lambda: check_sidak(np.eye(2), [1.0, 1.0], seed=-1), "seed"),
+    (lambda: canary_violation(seed=-1), "seed"),
 ])
 def test_checks_reject_bad_arguments_before_sampling(check, name, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -122,7 +143,7 @@ def test_checks_reject_bad_arguments_before_sampling(check, name, monkeypatch):
     monkeypatch.setattr(inequalities, "_normal_blocks", no_sampling)
     monkeypatch.setattr(inequalities, "map_sample_blocks", no_sampling)
     monkeypatch.setattr(inequalities, "sample_dyadic_level_maxima", no_sampling)
-    with pytest.raises(ValueError, match=f"^{name} must"):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: must"):
         check()
 
 

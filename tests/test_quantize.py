@@ -34,7 +34,7 @@ from roughball import (
     quantization_error,
     wasserstein,
 )
-from roughball import paths
+from roughball import paths, quantize
 from roughball.algebra import G2Element
 from roughball.runner import run
 from roughball.smallball import synthetic_curve
@@ -346,6 +346,42 @@ def test_quantization_error_reports_bound():
     assert out["E_hat"] > 0 and out["E_hat_se"] > 0
     no_bound = quantization_error(cb, _brownian_set(150, 37))
     assert no_bound.get("lower_bound") is None
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("computed before the arguments were checked")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "foo"}, "^mode: must be 'auto', 'medoid' or 'mean'"),
+    ({"mode": "mean", "r": 1.0}, "^mode: mean updates are justified for r = 2 only"),
+    ({"max_iter": 0}, "^max_iter: must be >= 1, got 0"),
+    ({"mode": "medoid", "max_iter": 0}, "^max_iter: must be >= 1, got 0"),
+    ({"tol": 0.0}, "^tol: must be > 0"),
+    ({"n": 11}, "^n: need 1 <= n <= 10 centers, got 11"),
+    ({"n": 0}, "^n: need 1 <= n <= 10 centers, got 0"),
+])
+def test_lloyd_rejects_bad_arguments_before_any_distance(monkeypatch, kwargs, message):
+    samples = _brownian_set(10, 31)
+    monkeypatch.setattr(quantize, "pairwise_distance", _no_work)
+    monkeypatch.setattr(quantize, "_kmeanspp_init", _no_work)
+    with pytest.raises(ValueError, match=message):
+        lloyd_codebook(samples, **{"n": 3, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reps": 0}, "^reps: must be >= 1, got 0"),
+    ({"n_list": [4, 0]}, r"^n_list\[1\]: must be >= 1, got 0"),
+    ({"n_list": []}, "^n_list: needs at least one atom count"),
+    ({"test_size": 4000, "n_list": [8, 97]}, "^test_size: .* 4000 \\+ 97, exceeds"),
+    ({"m_weights": 0}, "^m_weights: must be >= 1"),
+    ({"bootstrap": -1}, "^bootstrap: must be >= 0"),
+])
+def test_rate_experiment_rejects_bad_counts_before_sampling(monkeypatch, kwargs, message):
+    monkeypatch.setattr(quantize.LiftedSet, "from_model", _no_work)
+    call = dict(n_list=[4, 8], reps=1, m_weights=50, test_size=16, n_steps=32, bootstrap=2)
+    with pytest.raises(ValueError, match=message):
+        empirical_rate_experiment(brownian_model(), 0.4, 1.0, **{**call, **kwargs})
 
 
 def test_quantization_error_needs_two_fresh_samples():

@@ -177,7 +177,7 @@ def test_kernel_chunks_and_sample_blocks_change_no_result(seed, n, dim, fbm, var
                sample_allpairs_norms(model, 0.35, n, seed, 16, variant),
                sample_lemma_bound_norms(model, 0.35, n, seed, 16, variant=variant))
         if n == 1:  # a single sample has no standard error
-            with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+            with pytest.raises(ValueError, match="^n: must be >= 2, got 1"):
                 shift()
             return out
         rep = shift()

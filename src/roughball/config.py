@@ -1,10 +1,11 @@
 """Declarative experiment configs: schema validation, defaults, hashing.
 
 A config is a JSON object with an ``experiment`` kind and per-kind sections.
-This module owns a config's keys, their defaults and their JSON types; the
-rules on a value belong to the library function that consumes it, and
-parsing calls them (``_rule``), so a value the run would reject fails here
-naming its key.  Unknown keys are rejected by name so typos fail loudly.
+For all six experiments this module owns the keys, defaults, JSON types and
+JSON forms (shapes, the eps shorthand); every rule on a value lives in the
+library function that consumes it, and parsing calls it (``_rule``), so a
+value the run would reject fails here naming its key.  Unknown keys are
+rejected by name so typos fail loudly.
 ``resolve_checks`` turns inequality check entries into calls.  The resolved
 config is what gets hashed (canonical JSON, sorted keys) and echoed next to
 the artifacts, and parsing an echoed config resolves to the identical object.
@@ -21,10 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from . import inequalities, quantize
+from . import gaussian, inequalities, quantize, smallball
 from .gaussian import CovarianceModel, brownian_model, custom_model, fbm_model
-from .paths import CMPath, _lemma_depths
-from .smallball import NORM_KINDS, _check_alpha
+from .paths import CMPath, _at_least, _positive, _power_of_two
 
 EXPERIMENTS = ("sbp", "entropy", "quantize", "empirical", "inequalities", "audit")
 
@@ -82,7 +82,7 @@ def _req(section: dict, key: str, where: str):
     return section[key]
 
 
-def _num(value, key, kind=float, low=None, low_open=False):
+def _num(value, key, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     if not math.isfinite(value):
@@ -90,8 +90,6 @@ def _num(value, key, kind=float, low=None, low_open=False):
     v = kind(value)
     if kind is int and v != value:
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if low is not None and (v <= low if low_open else v < low):
-        raise ConfigError(f"{key}: must be {'>' if low_open else '>='} {low}, got {value}")
     return v
 
 
@@ -117,19 +115,18 @@ def _no_extras(section: dict, allowed, where: str):
 
 
 def _eps_list(value, key: str) -> list:
-    """Accept an explicit list or {min, max, count} resolved to a geometric grid."""
+    """The numbers of an explicit list, or of {min, max, count} resolved to a
+    geometric grid; the grid's consumer judges its values."""
     if isinstance(value, dict):
         _no_extras(value, ("min", "max", "count"), key)
-        lo = _num(_req(value, "min", key), f"{key}.min", float, 0, low_open=True)
-        hi = _num(_req(value, "max", key), f"{key}.max", float, lo, low_open=True)
-        cnt = _num(_req(value, "count", key), f"{key}.count", int, 2)
-        return [float(v) for v in np.geomspace(lo, hi, int(cnt))]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key}: expected a nonempty list or {{min,max,count}}")
-    out = [_num(v, f"{key}[{i}]", float, 0, low_open=True) for i, v in enumerate(value)]
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"{key}: values must be strictly increasing")
-    return out
+        lo, hi = (_num(_req(value, k, key), f"{key}.{k}") for k in ("min", "max"))
+        count = _num(_req(value, "count", key), f"{key}.count", int)
+        if not (0 < lo < hi and count >= 2):
+            raise ConfigError(f"{key}: expected 0 < min < max and count >= 2, got {value}")
+        return [float(v) for v in np.geomspace(lo, hi, count)]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list or {{min,max,count}}")
+    return [_num(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
 def _validate_model(spec, where="model") -> dict:
@@ -137,7 +134,7 @@ def _validate_model(spec, where="model") -> dict:
         raise ConfigError(f"{where}: expected an object")
     kind = _choice(_req(spec, "kind", where), f"{where}.kind",
                    ("brownian", "fbm", "custom_sigma2"))
-    out = {"kind": kind, "d": _num(_req(spec, "d", where), f"{where}.d", int, 1)}
+    out = {"kind": kind, "d": _num(_req(spec, "d", where), f"{where}.d", int)}
     allowed = {"kind", "d"}
     if kind == "fbm":
         allowed.add("hurst")
@@ -155,12 +152,6 @@ def _validate_model(spec, where="model") -> dict:
     return out
 
 
-def _validate_alpha(alpha, model: CovarianceModel, norm_kind: str = "rough_holder_dyadic"):
-    a = _num(alpha, "alpha", float)
-    _rule("", _check_alpha, model, a, norm_kind)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Per-experiment sections
 # ---------------------------------------------------------------------------
@@ -176,17 +167,19 @@ def _resolve_common(raw: dict) -> tuple[dict, CovarianceModel]:
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected an object")
     _no_extras(grid, ("T", "N"), "grid")
-    T = _num(grid.get("T", 1.0), "grid.T", float, 0, low_open=True)
-    N = _num(grid.get("N", 1024), "grid.N", int, 2)
-    if N & (N - 1):
-        raise ConfigError(f"grid.N: must be a power of two, got {N}")
+    T = _num(grid.get("T", 1.0), "grid.T")
+    N = _num(grid.get("N", 1024), "grid.N", int)
+    seed = _num(raw.get("seed", 0), "seed", int)
+    _rule("", _positive, "grid.T", T)
+    _rule("", _power_of_two, 2, **{"grid.N": N})
+    _rule("", _at_least, 0, seed=seed)
     spec = _validate_model(_req(raw, "model", "config"))
     model = _rule("model: ", _build_model, spec, T)  # the model checks its own ranges
     out = {
         "experiment": exp,
         "model": spec,
-        "grid": {"T": T, "N": int(N)},
-        "seed": _num(raw.get("seed", 0), "seed", int, 0),
+        "grid": {"T": T, "N": N},
+        "seed": seed,
         "out": str(raw.get("out", "out")),
         "variant": _choice(raw.get("variant", "sum"), "variant", ("sum", "sup")),
     }
@@ -196,23 +189,20 @@ def _resolve_common(raw: dict) -> tuple[dict, CovarianceModel]:
 def _resolve_sbp(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "norm_kind", "n_samples", "eps",
                                     "fit_window"), "config")
-    norm_kind = _choice(raw.get("norm_kind", "rough_holder_dyadic"), "norm_kind", NORM_KINDS)
+    norm_kind = raw.get("norm_kind", "rough_holder_dyadic")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model, norm_kind)
+    out["alpha"] = _num(_req(raw, "alpha", "config"), "alpha")
     out["norm_kind"] = norm_kind
-    out["n_samples"] = _num(raw.get("n_samples", 100000), "n_samples", int, 1, low_open=False)
+    out["n_samples"] = _num(raw.get("n_samples", 100000), "n_samples", int)
     out["eps"] = _eps_list(raw.get("eps", dict(_DEFAULT_EPS)), "eps")
+    _rule("", smallball._sbp_curve_args, model, out["alpha"], norm_kind, out["eps"],
+          out["n_samples"], common["grid"]["N"], eps_name="eps", steps_name="grid.N")
     if "fit_window" in raw:
         win = raw["fit_window"]
         if not (isinstance(win, list) and len(win) == 2):
             raise ConfigError("fit_window: expected [min_eps, max_eps]")
-        lo = _num(win[0], "fit_window[0]", float, 0, low_open=True)
-        hi = _num(win[1], "fit_window[1]", float, lo, low_open=True)
-        out["fit_window"] = [lo, hi]
-    if norm_kind == "rough_holder_lemma_bound":  # the sampler's default scale, 4 grid steps
-        T, N = common["grid"]["T"], common["grid"]["N"]
-        _rule("grid.N: too coarse for the lemma bound's scale 4T/N: ", _lemma_depths,
-              np.linspace(0.0, T, N + 1), out["alpha"], 4.0 * T / N)
+        out["fit_window"] = [_num(v, f"fit_window[{i}]") for i, v in enumerate(win)]
+        _rule("", smallball._eps_grid, out["fit_window"], "fit_window")
     return out
 
 
@@ -220,21 +210,25 @@ def _resolve_entropy(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "eta", "eps", "n_samples", "mesh",
                                     "cover_eps"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
-    out["eta"] = _num(raw.get("eta", 1.0), "eta", float, 0)
+    out["alpha"] = _num(_req(raw, "alpha", "config"), "alpha")
+    out["eta"] = _num(raw.get("eta", 1.0), "eta")
     out["eps"] = _eps_list(raw.get("eps", {"min": 0.4, "max": 1.6, "count": 7}), "eps")
-    out["n_samples"] = _num(raw.get("n_samples", 20000), "n_samples", int, 1)
+    out["n_samples"] = _num(raw.get("n_samples", 20000), "n_samples", int)
+    _rule("", smallball._sbp_curve_args, model, out["alpha"], "rough_holder_dyadic",
+          out["eps"], out["n_samples"], eps_name="eps")
     mesh = raw.get("mesh", {})
+    if not isinstance(mesh, dict):
+        raise ConfigError("mesh: expected an object")
     _no_extras(mesh, ("size", "n_steps"), "mesh")
-    m_steps = _num(mesh.get("n_steps", 64), "mesh.n_steps", int, 2)
-    if m_steps & (m_steps - 1):
-        raise ConfigError(f"mesh.n_steps: must be a power of two, got {m_steps}")
     out["mesh"] = {
-        "size": _num(mesh.get("size", 256), "mesh.size", int, 1),
-        "n_steps": int(m_steps),
+        "size": _num(mesh.get("size", 256), "mesh.size", int),
+        "n_steps": _num(mesh.get("n_steps", 64), "mesh.n_steps", int),
     }
+    _rule("", quantize._cm_ball_mesh_args, out["eta"], out["mesh"]["n_steps"],
+          out["mesh"]["size"], steps_name="mesh.n_steps", size_name="mesh.size")
     out["cover_eps"] = _eps_list(raw.get("cover_eps", {"min": 0.1, "max": 1.2, "count": 8}),
                                  "cover_eps")
+    _rule("", smallball._eps_grid, out["cover_eps"], "cover_eps")
     return out
 
 
@@ -243,22 +237,25 @@ def _resolve_quantize(raw: dict, common: dict, model: CovarianceModel) -> dict:
                                     "eps", "curve_samples", "mode", "tol",
                                     "max_iter"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
-    out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
+    out["alpha"] = _num(_req(raw, "alpha", "config"), "alpha")
+    out["r"] = _num(raw.get("r", 2.0), "r")
     centers = raw.get("n_centers", [4, 16, 64])
     if not isinstance(centers, list) or not centers:
         raise ConfigError("n_centers: expected a nonempty list of integers")
     out["n_centers"] = [int(_num(v, f"n_centers[{i}]", int)) for i, v in enumerate(centers)]
-    out["n_train"] = _num(raw.get("n_train", 512), "n_train", int, 1)
-    out["n_fresh"] = _num(raw.get("n_fresh", 2000), "n_fresh", int, 2)
+    out["n_train"] = _num(raw.get("n_train", 512), "n_train", int)
+    out["n_fresh"] = _num(raw.get("n_fresh", 2000), "n_fresh", int)
     out["eps"] = _eps_list(raw.get("eps", dict(_DEFAULT_EPS)), "eps")
-    out["curve_samples"] = _num(raw.get("curve_samples", 20000), "curve_samples", int, 1)
+    out["curve_samples"] = _num(raw.get("curve_samples", 20000), "curve_samples", int)
     out["mode"] = raw.get("mode", "auto")
     out["tol"] = _num(raw.get("tol", 1e-6), "tol", float)
     out["max_iter"] = _num(raw.get("max_iter", 60), "max_iter", int)
+    _rule("", smallball._sbp_curve_args, model, out["alpha"], "rough_holder_dyadic",
+          out["eps"], out["curve_samples"], eps_name="eps", n_name="curve_samples")
+    _rule("", quantize._quantization_error_args, out["n_fresh"], "n_fresh")
     for i, n in enumerate(out["n_centers"]):
         _rule("", quantize._lloyd_args, out["n_train"], n, out["r"], out["max_iter"],
-              out["tol"], out["mode"], n_name=f"n_centers[{i}]")
+              out["tol"], out["mode"], n_name=f"n_centers[{i}]", m_name="n_train")
     return out
 
 
@@ -266,8 +263,8 @@ def _resolve_empirical(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("alpha", "r", "n_list", "reps", "m_weights",
                                     "test_size", "bootstrap"), "config")
     out = dict(common)
-    out["alpha"] = _validate_alpha(_req(raw, "alpha", "config"), model)
-    out["r"] = _num(raw.get("r", 2.0), "r", float, 1.0)
+    out["alpha"] = _num(_req(raw, "alpha", "config"), "alpha")
+    out["r"] = _num(raw.get("r", 2.0), "r")
     n_list = raw.get("n_list", [8, 16, 32, 64, 128])
     if not isinstance(n_list, list):
         raise ConfigError("n_list: expected a list of integers")
@@ -276,8 +273,8 @@ def _resolve_empirical(raw: dict, common: dict, model: CovarianceModel) -> dict:
     out["m_weights"] = _num(raw.get("m_weights", 2000), "m_weights", int)
     out["test_size"] = _num(raw.get("test_size", 256), "test_size", int)
     out["bootstrap"] = _num(raw.get("bootstrap", 8), "bootstrap", int)
-    _rule("", quantize._empirical_args, out["n_list"], out["reps"], out["m_weights"],
-          out["test_size"], out["bootstrap"])
+    _rule("", quantize._empirical_args, model, out["alpha"], out["r"], out["n_list"],
+          out["reps"], out["m_weights"], out["test_size"], out["bootstrap"])
     return out
 
 
@@ -415,9 +412,12 @@ def resolve_checks(model: CovarianceModel, cfg: dict) -> list:
 def _resolve_audit(raw: dict, common: dict, model: CovarianceModel) -> dict:
     _no_extras(raw, _COMMON_KEYS + ("h_window", "mesh_levels", "n_dump"), "config")
     out = dict(common)
-    out["h_window"] = _num(raw.get("h_window", 0.5), "h_window", float, 0, low_open=True)
-    out["mesh_levels"] = _num(raw.get("mesh_levels", 6), "mesh_levels", int, 2)
-    out["n_dump"] = _num(raw.get("n_dump", 3), "n_dump", int, 0)
+    out["h_window"] = _num(raw.get("h_window", 0.5), "h_window")
+    out["mesh_levels"] = _num(raw.get("mesh_levels", 6), "mesh_levels", int)
+    out["n_dump"] = _num(raw.get("n_dump", 3), "n_dump", int)
+    _rule("", gaussian._sigma_conditions_args, model, out["h_window"])
+    _rule("", _at_least, 2, mesh_levels=out["mesh_levels"])
+    _rule("", _at_least, 0, n_dump=out["n_dump"])
     return out
 
 

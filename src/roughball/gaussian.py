@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .paths import _at_least, _check_times
+
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
 
@@ -60,8 +62,7 @@ class CovarianceModel:
     _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _at_least(1, dim=self.dim)
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.kind == "brownian":
@@ -181,9 +182,7 @@ class SamplerPlan:
     """
 
     def __init__(self, model: CovarianceModel, times):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 2 or not np.all(np.diff(times) > 0):
-            raise ValueError("grid must be a strictly increasing time vector")
+        times = _check_times(times)
         if times[0] != 0.0:
             raise ValueError("grid must start at 0")
         if times[-1] > model.horizon + 1e-12:
@@ -527,6 +526,12 @@ def _third_derivative_bound(model: CovarianceModel, taus: np.ndarray) -> float:
     return float(np.max(np.abs(d3) * taus ** (3.0 - inv_rho)))
 
 
+def _sigma_conditions_args(model: CovarianceModel, h_window: float) -> None:
+    """sigma_conditions_audit's rule: the window lies in (0, T]."""
+    if not 0.0 < h_window <= model.horizon + 1e-12:
+        raise ValueError(f"h_window: must lie in (0, {model.horizon}], got {h_window}")
+
+
 def sigma_conditions_audit(model: CovarianceModel, h_window: float = 1.0,
                            n_grid: int = 512) -> dict:
     """Report the small-scale conditions the small-ball machinery leans on.
@@ -538,8 +543,7 @@ def sigma_conditions_audit(model: CovarianceModel, h_window: float = 1.0,
     a model can fail a condition and still be simulated.
     """
     h = float(h_window)
-    if not (0.0 < h <= model.horizon + 1e-12):
-        raise ValueError(f"h_window {h} outside (0, {model.horizon}]")
+    _sigma_conditions_args(model, h)
     inv_rho = 1.0 / model.rho
     taus = h * np.arange(1, n_grid + 1) / n_grid
     s2 = model.sigma2(taus)

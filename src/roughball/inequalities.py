@@ -40,9 +40,8 @@ from .gaussian import (
     map_sample_blocks,
     sample_rng,
 )
-from .paths import CMPath, dyadic_level_maxima
-from .smallball import (_at_least, _check_alpha, _positive, sample_dyadic_level_maxima,
-                        wilson_interval)
+from .paths import CMPath, _at_least, _positive, _power_of_two, dyadic_level_maxima
+from .smallball import _check_alpha, sample_dyadic_level_maxima, wilson_interval
 
 VERDICTS = ("holds", "holds_within_noise", "violated", "inconclusive")
 
@@ -132,8 +131,7 @@ def _anderson_args(model, alpha, eps, n, seed, n_steps, n_low=1) -> None:
     _positive("eps", eps)
     _at_least(n_low, n=n)
     _at_least(0, seed=seed)
-    if n_steps < 2 or n_steps & (n_steps - 1):
-        raise ValueError(f"n_steps: must be a power of two >= 2, got {n_steps}")
+    _power_of_two(2, n_steps=n_steps)
 
 
 _cameron_martin_args = partial(_anderson_args, n_low=2)

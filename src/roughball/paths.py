@@ -49,6 +49,34 @@ import numpy as np
 from .algebra import G2Element, _resolve_variant
 
 
+# Argument rules shared by the library's entry points and by config; like
+# every argument rule, they raise ValueError('<argument>: <rule>').
+
+
+def _at_least(low, **values) -> None:
+    for name, value in values.items():
+        if value < low:
+            raise ValueError(f"{name}: must be >= {low}, got {value}")
+
+
+def _positive(name: str, value) -> None:
+    if not value > 0:
+        raise ValueError(f"{name}: must be > 0, got {value}")
+
+
+def _power_of_two(low: int, **values) -> None:
+    """The step counts of dyadic grids: 2^L steps, at least low of them."""
+    for name, value in values.items():
+        if value < low or value & (value - 1):
+            raise ValueError(f"{name}: must be a power of two >= {low}, got {value}")
+
+
+def _check_holder_alpha(alpha: float) -> None:
+    """The Hölder exponents of grid distances and bounds: alpha in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha: must lie in (0, 1], got {alpha}")
+
+
 def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -260,10 +288,8 @@ def dyadic_pair_indices(n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
     Requires a dyadic grid (n_points = 2^L + 1).
     """
-    n_steps = n_points - 1
-    if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"dyadic pair family needs 2^L steps, got {n_steps}")
-    return _dyadic_pairs(n_steps)[:2]
+    _power_of_two(1, **{"n_points - 1": n_points - 1})
+    return _dyadic_pairs(n_points - 1)[:2]
 
 
 def pair_increments(
@@ -414,8 +440,7 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
     if values.ndim != 3:
         raise ValueError("values must have shape (S, N+1, d)")
     n_steps = values.shape[1] - 1
-    if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"dyadic levels need 2^L steps, got {n_steps}")
+    _power_of_two(1, n_steps=n_steps)
     S, _, d = values.shape
     i_idx, j_idx, starts = _dyadic_pairs(n_steps)
     rough = np.empty((S, len(starts)))
@@ -497,17 +522,11 @@ def _resolve_pairs(x: GridRoughPath, pair_set) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown pair_set {pair_set!r}, expected 'all' or 'dyadic'")
 
 
-def _check_same_grid(x: GridRoughPath, y: GridRoughPath):
+def _check_same_grid(x, y):  # paths, drift paths or lifted sets
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if x.times.shape != y.times.shape or not np.array_equal(x.times, y.times):
         raise ValueError("paths must share the same time grid")
-
-
-def _check_holder_alpha(alpha: float) -> None:
-    """The Hölder exponents of grid distances and bounds: alpha in (0, 1]."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def holder_distance(
@@ -573,8 +592,7 @@ def _lemma_depths(times: np.ndarray, alpha: float, eps: float) -> tuple[int, int
     """Grid depth L and window depth e of the dyadic majorant, after checking
     a uniform grid of 2^L steps, alpha in (0, 1] and eps = T 2^-e, 1 <= e < L."""
     n_steps = times.shape[0] - 1
-    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"needs 2^L steps, got {n_steps}")
+    _power_of_two(2, n_steps=n_steps)
     T = times[-1] - times[0]
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * T):
@@ -664,10 +682,7 @@ def translate(x: GridRoughPath, h: CMPath) -> GridRoughPath:
     the group product, commutes for successive drifts (T^g T^h = T^{g+h}) and
     preserves the weakly geometric relation exactly.
     """
-    if h.times.shape != x.times.shape or not np.array_equal(h.times, x.times):
-        raise ValueError("drift path must be sampled on the rough path's grid")
-    if h.dim != x.dim:
-        raise ValueError(f"dimension mismatch: path {x.dim}, drift {h.dim}")
+    _check_same_grid(x, h)
     b, c = x.step_arrays()
     dh = np.diff(h.values, axis=0)
     cross = b[:, :, None] * dh[:, None, :]
@@ -694,8 +709,7 @@ def q_variation(values: np.ndarray, q: float) -> float:
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _at_least(1.0, q=q)
     n = values.shape[0]
     if n < 2:
         return 0.0

@@ -28,10 +28,11 @@ from .gaussian import (
     _index_streams,
     sample_path_block,
 )
-from .paths import (GridRoughPath, _check_holder_alpha, _chunk_bounds,
-                    _component_difference, _component_major, _component_norms,
-                    _dyadic_pairs, _gathered_increments, batch_prefix)
-from .smallball import SBPCurve, _at_least, _positive
+from .paths import (GridRoughPath, _at_least, _check_holder_alpha, _check_same_grid,
+                    _chunk_bounds, _component_difference, _component_major, _component_norms,
+                    _dyadic_pairs, _gathered_increments, _positive, _power_of_two,
+                    batch_prefix)
+from .smallball import SBPCurve, _check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,7 @@ class LiftedSet:
     def __init__(self, times: np.ndarray, B: np.ndarray, C: np.ndarray):
         times = np.asarray(times, dtype=float)
         n_steps = times.size - 1
-        if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
-            raise ValueError(f"lifted sets need 2^L steps, got {n_steps}")
+        _power_of_two(1, n_steps=n_steps)
         n_pts = n_steps + 1
         if B.ndim != 3 or B.shape[1] != n_pts or C.shape != B.shape + B.shape[-1:]:
             raise ValueError(f"prefix arrays must have shapes (m, {n_pts}, d) and "
@@ -70,17 +70,16 @@ class LiftedSet:
         paths = list(paths)
         if not paths:
             raise ValueError("need at least one path")
-        times = paths[0].times
         for p in paths[1:]:
-            if p.times.shape != times.shape or not np.array_equal(p.times, times):
-                raise ValueError("all paths must share one grid")
+            _check_same_grid(paths[0], p)
         B = np.stack([p.prefix_level1 for p in paths])
         C = np.stack([p.prefix_level2 for p in paths])
-        return cls(times, B, C)
+        return cls(paths[0].times, B, C)
 
     @classmethod
     def from_model(cls, model: CovarianceModel, n: int, master_seed: int,
                    n_steps: int = 256) -> "LiftedSet":
+        _power_of_two(1, n_steps=n_steps)  # before anything is sampled
         times = np.linspace(0.0, model.horizon, n_steps + 1)
         values = sample_path_block(SamplerPlan(model, times), master_seed, 0, n)
         return cls.from_values(times, values)
@@ -141,10 +140,7 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     (T 2^-l)^alpha, and the largest.  Blocks fit the kernel's chunk budget
     and share one workspace, so a call allocates its buffers once.
     """
-    if not np.array_equal(x.times, y.times):
-        raise ValueError("both sets must share one grid")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    _check_same_grid(x, y)
     _check_holder_alpha(alpha)
     v = _resolve_variant(variant)
     bx, cx = x.dyadic_increments()
@@ -184,6 +180,15 @@ class BallMesh:
     radius: float
 
 
+def _cm_ball_mesh_args(eta: float, n_steps: int, mesh_size: int, steps_name: str = "n_steps",
+                       size_name: str = "mesh_size") -> None:
+    """cm_ball_mesh's rules, with n_steps and mesh_size called steps_name and
+    size_name.  A direction is smoothed over 5 steps, so a grid needs 8."""
+    _at_least(0, eta=eta)
+    _power_of_two(8, **{steps_name: n_steps})
+    _at_least(1, **{size_name: mesh_size})
+
+
 def cm_ball_mesh(model: CovarianceModel, eta: float, n_steps: int = 64,
                  mesh_size: int = 256, seed: int = 0) -> BallMesh:
     """Mesh the radius-eta reproducing-kernel ball with normalized directions.
@@ -192,14 +197,13 @@ def cm_ball_mesh(model: CovarianceModel, eta: float, n_steps: int = 64,
     eta and cycled through boundary scalings {1, 3/4, 1/2, 1/4}; the zero
     path is always included.  eta = 0 degenerates to the single trivial path.
     """
-    if eta < 0:
-        raise ValueError(f"radius must be nonnegative, got {eta}")
+    _cm_ball_mesh_args(eta, n_steps, mesh_size)
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     d = model.dim
     if eta == 0:
         mesh_size = 1  # the ball degenerates to the zero path
-    values = np.zeros((max(1, mesh_size), n_steps + 1, d))
-    norms = np.zeros(max(1, mesh_size))
+    values = np.zeros((mesh_size, n_steps + 1, d))
+    norms = np.zeros(mesh_size)
     if mesh_size > 1:
         scales = (1.0, 0.75, 0.5, 0.25)
         kernel = np.ones(5) / 5.0
@@ -261,8 +265,7 @@ def greedy_cover(mesh: BallMesh, alpha: float, eps: float,
     The center count is exact for the mesh (an upper-bound certificate for
     the mesh only; for the underlying ball it is a lower-bound observation).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _positive("eps", eps)
     order, radii = _greedy_order(mesh.lifted, alpha, variant)
     covered = np.nonzero(radii <= eps)[0]
     if covered.size:
@@ -374,8 +377,7 @@ class SBPTransform:
 
     def inverse(self, target: float) -> float:
         """Smallest resolved eps with -log p <= target."""
-        if target <= 0:
-            raise ValueError(f"target must be positive, got {target}")
+        _positive("target", target)
         y = np.log(target)
         # log_b decreases along log_eps; interpolate on the reversed axis
         if y > self.log_b[0] + 1e-12:
@@ -401,8 +403,7 @@ def entropy_bounds_from_sbp(b_hat: SBPCurve | SBPTransform, eta: float, eps: flo
     """
     from scipy.special import ndtr, ndtri
 
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    _at_least(0, eta=eta)
     tr = b_hat if isinstance(b_hat, SBPTransform) else SBPTransform(b_hat)
     b_eps = tr.value(eps)
     b_2eps = tr.value(2.0 * eps)
@@ -513,10 +514,12 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
 
 
 def _lloyd_args(m: int, n: int, r: float, max_iter: int, tol: float, mode: str,
-                n_name: str = "n") -> str:
+                n_name: str = "n", m_name: str = "samples") -> str:
     """Check lloyd_codebook's arguments for m training paths, before any
     distance is computed, and return the update mode 'auto' resolves to.
-    Messages read '<argument>: <rule>', with n called n_name."""
+    Messages read '<argument>: <rule>', with n called n_name and the
+    training set size m_name."""
+    _at_least(1, **{m_name: m}, r=r)
     if not 1 <= n <= m:
         raise ValueError(f"{n_name}: need 1 <= n <= {m} centers, got {n}")
     _at_least(1, max_iter=max_iter)
@@ -614,6 +617,11 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: in
     )
 
 
+def _quantization_error_args(n_fresh: int, name: str = "fresh") -> None:
+    """quantization_error's rule: a standard error needs two fresh samples."""
+    _at_least(2, **{name: n_fresh})
+
+
 def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = None,
                        sbp_curve: SBPCurve | SBPTransform | None = None) -> dict:
     """Out-of-sample distortion and the curve-derived lower bound.
@@ -623,11 +631,9 @@ def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = N
     Where log(2n) lies above the resolved curve, the bound is the largest
     curve eps whose Wilson upper limit is at most 1/(2n): p <= 1/(2n) there
     at 95%, so the bound stays conservative.  The bound claim
-    E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.  Needs at least
-    two fresh samples for the standard error.
+    E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.
     """
-    if fresh.size < 2:
-        raise ValueError(f"fresh must hold at least 2 samples, got {fresh.size}")
+    _quantization_error_args(fresh.size)
     if r is None:
         r = codebook.order
     dist = pairwise_distance(fresh, codebook.centers, codebook.alpha, codebook.variant)
@@ -885,9 +891,12 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float
     return max(total, 0.0) ** (1.0 / r)
 
 
-def _empirical_args(n_list, reps: int, m_weights: int, test_size: int, bootstrap: int):
-    """Check empirical_rate_experiment's counts before anything is sampled.
+def _empirical_args(model: CovarianceModel, alpha: float, r: float, n_list, reps: int,
+                    m_weights: int, test_size: int, bootstrap: int):
+    """Check empirical_rate_experiment's arguments before anything is sampled.
     Messages read '<argument>: <rule>'."""
+    _check_alpha(model, alpha, "rough_holder_dyadic")
+    _at_least(1, r=r)
     if len(n_list) == 0:
         raise ValueError("n_list: needs at least one atom count")
     _at_least(1, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}, reps=reps,
@@ -916,11 +925,9 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
     can be evaluated per cell.  The constant-free prediction (log n)^-beta,
     beta = 1/(2 rho) - alpha, is reported alongside, never asserted.
     """
-    _empirical_args(n_list, reps, m_weights, test_size, bootstrap)
+    _empirical_args(model, alpha, r, n_list, reps, m_weights, test_size, bootstrap)
     n_list = sorted(int(v) for v in n_list)
     beta = 1.0 / (2.0 * model.rho) - alpha
-    if beta <= 0:
-        raise ValueError(f"alpha must lie below 1/(2 rho) = {1.0 / (2.0 * model.rho):g}")
 
     ref_seed = int(np.random.SeedSequence((seed, 0x5EF)).generate_state(1)[0])
     reference = LiftedSet.from_model(model, test_size, ref_seed, n_steps)

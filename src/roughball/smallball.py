@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
 from .gaussian import CovarianceModel, SamplerPlan, map_sample_blocks
 from .paths import (
+    _at_least,
     _check_holder_alpha,
     _chunk_bounds,
     _component_norms,
@@ -30,6 +31,8 @@ from .paths import (
     _gathered_increments,
     _lemma_depths,
     _lemma_terms,
+    _positive,
+    _power_of_two,
     all_pair_indices,
     dyadic_level_maxima,
 )
@@ -59,8 +62,7 @@ def rd_gaussian_small_ball(d: int, eps, norm: str = "l2"):
     """
     from scipy.special import erf, gammainc
 
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _at_least(1, d=d)
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
@@ -83,10 +85,8 @@ def erf_lower_bounds(s: float, t: float) -> dict:
     """
     from scipy.special import erf
 
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _positive("s", s)
+    _at_least(0, t=t)
     value = float(erf(t / np.sqrt(2.0)))
     value_scaled = float(erf(s * t / np.sqrt(2.0)))
     bound_small = 0.5 * t if t <= 1.0 else None
@@ -139,8 +139,7 @@ def predicted_sbp_index(rho: float, alpha: float) -> float:
 
 def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ValueError("need n > 0")
+    _at_least(1, n=n)
     p = k / n
     denom = 1.0 + z**2 / n
     center = (p + z**2 / (2.0 * n)) / denom
@@ -172,8 +171,7 @@ class SBPCurve:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (np.all(self.p_hat >= 0.0) and np.all(self.p_hat <= 1.0)):
             raise ValueError("p_hat must lie in [0, 1]")
-        if np.any(np.diff(self.eps) <= 0):
-            raise ValueError("eps grid must be strictly increasing")
+        _eps_grid(self.eps, "eps")
 
     def to_dict(self) -> dict:
         return {
@@ -198,11 +196,13 @@ class SBPCurve:
         return cls(**data)
 
 
-def _eps_grid(eps_list) -> np.ndarray:
-    """eps_list as a float array, after checking that it is nonempty and positive."""
+def _eps_grid(eps_list, name: str = "eps_list") -> np.ndarray:
+    """eps_list as a float array, after checking that it is a nonempty,
+    positive, strictly increasing grid; the message names it name."""
     eps = np.asarray(eps_list, dtype=float)
-    if eps.size == 0 or not np.all(eps > 0):
-        raise ValueError(f"eps_list must be nonempty and positive, got {eps_list}")
+    if eps.size == 0 or not np.all(eps > 0) or np.any(np.diff(eps) <= 0):
+        raise ValueError(f"{name}: must be a nonempty, positive, strictly increasing grid, "
+                         f"got {eps.tolist()}")
     return eps
 
 
@@ -309,10 +309,8 @@ def sample_dyadic_level_maxima(model: CovarianceModel, n_samples: int, master_se
     result independent of the blocking, and block results come back in index
     order, so threaded and serial runs produce bit-identical ensembles.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if n_steps < 2 or (n_steps & (n_steps - 1)) != 0:
-        raise ValueError(f"n_steps must be a power of two >= 2, got {n_steps}")
+    _at_least(1, n_samples=n_samples)
+    _power_of_two(2, n_steps=n_steps)
     blocks = map_sample_blocks(
         SamplerPlan(model, np.linspace(0.0, model.horizon, n_steps + 1)), master_seed, n_samples,
         lambda values: dyadic_level_maxima(values, variant, centre=centre), threads)
@@ -336,8 +334,7 @@ def _sample_pair_norms(model: CovarianceModel, n_samples: int, master_seed: int,
     """Simulate paths in sample blocks, walk each block one kernel chunk at a
     time, and reduce each path's homogeneous norms over the pair family
     (i_idx, j_idx), a (chunk, K) array, to one value per path."""
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    _at_least(0, n_samples=n_samples)
     v = _resolve_variant(variant)
     floats = len(i_idx) * (model.dim + model.dim**2)
 
@@ -374,6 +371,7 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
     dyadic curve.  bound_scale is the truncation scale (default 4 grid steps).
     Each value equals paths.dyadic_holder_bound(...).value of the sample's lift.
     """
+    _power_of_two(2, n_steps=n_steps)  # before the default scale divides by it
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     if bound_scale is None:
         bound_scale = 4.0 * model.horizon / n_steps
@@ -382,21 +380,6 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
                               *_dyadic_pairs(n_steps)[:2], variant,
                               lambda norms: np.maximum(*_lemma_terms(norms, alpha,
                                                                      bound_scale, e)))
-
-
-# Argument rules shared by the library's entry points; like every argument
-# rule, they raise ValueError('<argument>: <rule>').
-
-
-def _at_least(low, **values) -> None:
-    for name, value in values.items():
-        if value < low:
-            raise ValueError(f"{name}: must be >= {low}, got {value}")
-
-
-def _positive(name: str, value) -> None:
-    if not value > 0:
-        raise ValueError(f"{name}: must be > 0, got {value}")
 
 
 def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:
@@ -408,16 +391,25 @@ def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:
         raise ValueError(f"alpha: must lie in (1/3, {upper:g}), got {alpha}")
 
 
+def _sbp_curve_args(model: CovarianceModel, alpha: float, norm_kind: str, eps_list,
+                    n_samples: int, n_steps: int = 1024, eps_name: str = "eps_list",
+                    n_name: str = "n_samples", steps_name: str = "n_steps") -> None:
+    """estimate_sbp_curve's rules, checked before anything is sampled, with
+    eps_list, n_samples and n_steps called eps_name, n_name and steps_name."""
+    if norm_kind not in NORM_KINDS:
+        raise ValueError(f"norm_kind: must be one of {NORM_KINDS}, got {norm_kind!r}")
+    _check_alpha(model, alpha, norm_kind)
+    _eps_grid(eps_list, eps_name)
+    _at_least(1, **{n_name: n_samples})
+    if norm_kind == "rough_holder_lemma_bound":  # its default scale, 4 steps, is T 2^-e, e >= 1
+        _power_of_two(8, **{steps_name: n_steps})
+
+
 def estimate_sbp_curve(model: CovarianceModel, alpha: float, norm_kind: str, eps_list,
                        n_samples: int, master_seed: int, n_steps: int = 1024,
                        variant: str = DEFAULT_NORM_VARIANT, threads: int = 1) -> SBPCurve:
     """Simulate, lift, take norms, and return the small-ball curve."""
-    if norm_kind not in NORM_KINDS:
-        raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    _check_alpha(model, alpha, norm_kind)
-    _eps_grid(eps_list)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _sbp_curve_args(model, alpha, norm_kind, eps_list, n_samples, n_steps)
     if norm_kind in ("rough_holder_dyadic", "path_holder"):
         ens = sample_dyadic_level_maxima(model, n_samples, master_seed, n_steps, variant,
                                          threads=threads)

@@ -287,6 +287,8 @@ TINY_QUANTIZE = {"experiment": "quantize", "model": {"kind": "brownian", "d": 1}
                  "grid": {"N": 16}, "n_centers": [2, 4], "n_train": 8}
 TINY_EMPIRICAL = {"experiment": "empirical", "model": {"kind": "brownian", "d": 1},
                   "alpha": 0.4, "grid": {"N": 16}, "n_list": [4, 8], "test_size": 16}
+TINY_ENTROPY = {"experiment": "entropy", "model": {"kind": "brownian", "d": 1}, "alpha": 0.4,
+                "grid": {"N": 16}}
 
 # Configs whose values the run itself would reject: each is a config error.
 BAD_VALUES = [
@@ -302,6 +304,36 @@ BAD_VALUES = [
     (dict(TINY_EMPIRICAL, n_list=[4, 0]), "n_list[1]: must be >= 1"),
     (dict(TINY_SBP, norm_kind="rough_holder_lemma_bound", grid={"N": 4}), "grid.N: "),
     (dict(TINY_SBP, norm_kind="rough_holder_lemma_bound", grid={"N": 2}), "grid.N: "),
+    (dict(TINY_SBP, norm_kind="sup"), "norm_kind: must be one of"),
+    (dict(TINY_SBP, n_samples=0), "n_samples: must be >= 1"),
+    (dict(TINY_ENTROPY, n_samples=0), "n_samples: must be >= 1"),
+    (dict(TINY_QUANTIZE, curve_samples=0), "curve_samples: must be >= 1"),
+    (dict(TINY_SBP, eps=[0.5, 0.4]), "eps: must be a nonempty, positive, strictly increasing"),
+    (dict(TINY_SBP, eps=[0.0, 0.4]), "eps: must be a nonempty"),
+    (dict(TINY_SBP, eps=[]), "eps: must be a nonempty"),
+    (dict(TINY_QUANTIZE, eps=[1.0, 1.0]), "eps: must be a nonempty"),
+    (dict(TINY_SBP, eps={"min": 0.0, "max": 1.0, "count": 4}), "eps: expected 0 < min < max"),
+    (dict(TINY_SBP, eps={"min": 1.0, "max": 2.0, "count": 1}), "eps: expected 0 < min < max"),
+    (dict(TINY_SBP, fit_window=[2.0, 1.0]), "fit_window: must be a nonempty"),
+    (dict(TINY_ENTROPY, cover_eps=[0.2, -0.1]), "cover_eps: must be a nonempty"),
+    (dict(TINY_ENTROPY, eta=-1), "eta: must be >= 0"),
+    (dict(TINY_ENTROPY, mesh={"n_steps": 100}), "mesh.n_steps: must be a power of two >= 8"),
+    (dict(TINY_ENTROPY, mesh={"n_steps": 4}), "mesh.n_steps: must be a power of two >= 8"),
+    (dict(TINY_ENTROPY, mesh={"size": 0}), "mesh.size: must be >= 1"),
+    (dict(TINY_ENTROPY, mesh=[64]), "mesh: expected an object"),
+    (dict(TINY_SBP, grid={"N": 100}), "grid.N: must be a power of two >= 2"),
+    (dict(TINY_SBP, grid={"N": 1}), "grid.N: must be a power of two >= 2"),
+    (dict(TINY_SBP, grid={"T": 0.0, "N": 64}), "grid.T: must be > 0"),
+    (dict(TINY_SBP, seed=-1), "seed: must be >= 0"),
+    (dict(TINY_QUANTIZE, n_fresh=1), "n_fresh: must be >= 2"),
+    (dict(TINY_QUANTIZE, n_train=0), "n_train: must be >= 1"),
+    (dict(TINY_QUANTIZE, r=0.5), "r: must be >= 1"),
+    (dict(TINY_EMPIRICAL, r=0.5), "r: must be >= 1"),
+    (dict(TINY_EMPIRICAL, alpha=0.5), "alpha: must lie in (1/3, 0.5)"),
+    (dict(TINY_AUDIT, h_window=2.0), "h_window: must lie in (0, 1.0]"),
+    (dict(TINY_AUDIT, h_window=0.0), "h_window: must lie in (0, 1.0]"),
+    (dict(TINY_AUDIT, mesh_levels=1), "mesh_levels: must be >= 2"),
+    (dict(TINY_AUDIT, n_dump=-1), "n_dump: must be >= 0"),
 ]
 
 

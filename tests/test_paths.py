@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dyadic_holder_bound_loop,
@@ -13,6 +15,7 @@ from oracles import (
 )
 from roughball import (
     CMPath,
+    brownian_model,
     chen_defect,
     dyadic_holder_bound,
     g2_inverse,
@@ -25,7 +28,9 @@ from roughball import (
     translate,
     trivial_rough_path,
 )
+from roughball import inequalities, quantize, smallball
 from roughball.paths import (
+    _power_of_two,
     all_pair_indices,
     batch_prefix,
     dyadic_level_maxima,
@@ -127,7 +132,7 @@ def test_discretisation_bound_rejects_bad_input(rng):
         dyadic_holder_bound(x, 0.4, eps=0.3)
     with pytest.raises(ValueError, match="alpha"):
         dyadic_holder_bound(x, 1.5, eps=0.5)
-    with pytest.raises(ValueError, match="2\\^L steps"):
+    with pytest.raises(ValueError, match="^n_steps: must be a power of two"):
         dyadic_holder_bound(_random_lift(rng, n_points=49), 0.4, eps=0.5)
     bent = np.linspace(0.0, 1.0, 65) ** 2
     with pytest.raises(ValueError, match="uniform grid"):
@@ -178,7 +183,7 @@ def test_dyadic_level_kernel_one_path_outgrows_a_chunk(rng):
 
 
 def test_dyadic_level_kernel_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="2\\^L steps"):
+    with pytest.raises(ValueError, match="^n_steps: must be a power of two"):
         dyadic_level_maxima(np.zeros((2, 7, 1)))
     with pytest.raises(ValueError, match="centre must have shape"):
         dyadic_level_maxima(np.zeros((2, 9, 2)), centre=np.zeros((9, 1)))
@@ -298,3 +303,72 @@ def test_q_variation_of_smooth_path():
     assert q_variation(vals, 1.0) == pytest.approx(1.0, abs=1e-12)
     # higher q can only shrink the variation of a monotone line
     assert q_variation(vals, 2.0) <= 1.0 + 1e-12
+
+
+class _Sampled(Exception):
+    """Raised by the stubbed samplers: the call got past its argument rules."""
+
+
+def _sampled(*args, **kwargs):
+    raise _Sampled
+
+
+_MODEL = brownian_model()
+_DRIFT = CMPath(np.linspace(0.0, 1.0, 17), np.zeros((17, 1)))
+
+# Every entry point that takes a step count: (argument, lower bound, call on n).
+STEP_COUNT_ENTRY_POINTS = {
+    "dyadic_pair_indices": ("n_points - 1", 1, lambda n: dyadic_pair_indices(n + 1)),
+    "dyadic_level_maxima": ("n_steps", 1,
+                            lambda n: dyadic_level_maxima(np.zeros((1, n + 1, 1)))),
+    "LiftedSet": ("n_steps", 1, lambda n: quantize.LiftedSet(
+        np.linspace(0.0, 1.0, n + 1), np.zeros((1, n + 1, 1)), np.zeros((1, n + 1, 1, 1)))),
+    "LiftedSet.from_model": ("n_steps", 1,
+                             lambda n: quantize.LiftedSet.from_model(_MODEL, 2, 0, n)),
+    "empirical_rate_experiment": ("n_steps", 1, lambda n: quantize.empirical_rate_experiment(
+        _MODEL, 0.4, 1.0, [2], 1, 4, 4, n_steps=n)),
+    "cm_ball_mesh": ("n_steps", 8, lambda n: quantize.cm_ball_mesh(_MODEL, 1.0, n, 4)),
+    "sample_dyadic_level_maxima": ("n_steps", 2, lambda n: smallball.sample_dyadic_level_maxima(
+        _MODEL, 4, 0, n)),
+    "sample_lemma_bound_norms": ("n_steps", 2, lambda n: smallball.sample_lemma_bound_norms(
+        _MODEL, 0.4, 4, 0, n)),
+    "estimate_sbp_curve": ("n_steps", 2, lambda n: smallball.estimate_sbp_curve(
+        _MODEL, 0.4, "rough_holder_dyadic", [1.0], 4, 0, n)),
+    "check_anderson": ("n_steps", 2, lambda n: inequalities.check_anderson(
+        _MODEL, 0.4, None, 1.5, n=4, n_steps=n)),
+    "check_cameron_martin": ("n_steps", 2, lambda n: inequalities.check_cameron_martin(
+        _MODEL, 0.4, _DRIFT, 1.5, n=4, n_steps=n)),
+    "check_borell_shift_rough": ("n_steps", 2, lambda n: inequalities.check_borell_shift_rough(
+        _MODEL, 0.4, 1.5, 0.5, n=4, n_steps=n)),
+}
+
+
+def _outcome(call):
+    """The message of the ValueError call() raises; None once it gets past its rules."""
+    try:
+        call()
+    except _Sampled:
+        return None
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60)
+@given(n=st.one_of(st.integers(-1, 600), st.sampled_from([2**k for k in range(10)])))
+def test_step_count_entry_points_keep_the_shared_rule(n):
+    # accepted and rejected exactly as _power_of_two says, with its message,
+    # before any sampling: a sampler reached on a rejected count raises _Sampled
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((smallball, "map_sample_blocks"),
+                             (inequalities, "sample_dyadic_level_maxima"),
+                             (inequalities, "map_sample_blocks"),
+                             (quantize, "sample_path_block"), (quantize, "_cm_gram_factor")):
+            mp.setattr(module, name, _sampled)
+        for entry, (argument, low, call) in STEP_COUNT_ENTRY_POINTS.items():
+            rule = _outcome(lambda: _power_of_two(low, **{argument: n}))
+            got = _outcome(lambda: call(n))
+            if rule is None:  # other rules may still reject, never this one
+                assert got is None or not got.startswith(f"{argument}: "), (entry, got)
+            else:
+                assert got == rule, (entry, got)

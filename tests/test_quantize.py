@@ -170,9 +170,9 @@ def test_pairwise_rejects_dimension_mismatch():
 def test_pairwise_rejects_alpha_outside_unit_interval(alpha):
     # the rule of holder_distance: alpha in (0, 1]
     xs = _brownian_set(3, 1, n_steps=16)
-    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\]"):
+    with pytest.raises(ValueError, match="alpha: must lie in \\(0, 1\\]"):
         pairwise_distance(xs, xs, alpha)
-    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\]"):
+    with pytest.raises(ValueError, match="alpha: must lie in \\(0, 1\\]"):
         holder_distance(xs.path(0), xs.path(1), alpha)
 
 
@@ -386,7 +386,7 @@ def test_rate_experiment_rejects_bad_counts_before_sampling(monkeypatch, kwargs,
 
 def test_quantization_error_needs_two_fresh_samples():
     cb = lloyd_codebook(_brownian_set(20, 31), 2, seed=3, mode="medoid")
-    with pytest.raises(ValueError, match="fresh must hold at least 2 samples, got 1"):
+    with pytest.raises(ValueError, match="^fresh: must be >= 2, got 1"):
         quantization_error(cb, _brownian_set(1, 37))
     assert quantization_error(cb, _brownian_set(2, 37))["E_hat_se"] >= 0.0
 
@@ -556,7 +556,7 @@ def test_rate_experiment_schema_and_domination():
 
 
 def test_rate_experiment_rejects_flat_exponent():
-    with pytest.raises(ValueError, match="alpha must lie below"):
+    with pytest.raises(ValueError, match="^alpha: must lie in"):
         empirical_rate_experiment(
             brownian_model(), 0.5, 1.0, [4], reps=1, m_weights=50, test_size=16, n_steps=32
         )

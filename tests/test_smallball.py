@@ -255,7 +255,7 @@ def test_lemma_bound_sampler_checks_scale_once():
     m = brownian_model()
     with pytest.raises(ValueError, match="eps must equal"):
         sample_lemma_bound_norms(m, 0.4, 0, 1, n_steps=64, bound_scale=0.3)
-    with pytest.raises(ValueError, match="2\\^L steps"):
+    with pytest.raises(ValueError, match="^n_steps: must be a power of two"):
         sample_lemma_bound_norms(m, 0.4, 4, 1, n_steps=48)
     assert sample_lemma_bound_norms(m, 0.4, 0, 1, n_steps=64).shape == (0,)
     assert sample_allpairs_norms(m, 0.4, 0, 1, n_steps=64).shape == (0,)

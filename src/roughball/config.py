@@ -416,7 +416,7 @@ def _resolve_audit(raw: dict, common: dict, model: CovarianceModel) -> dict:
     out["mesh_levels"] = _num(raw.get("mesh_levels", 6), "mesh_levels", int)
     out["n_dump"] = _num(raw.get("n_dump", 3), "n_dump", int)
     _rule("", gaussian._sigma_conditions_args, model, out["h_window"])
-    _rule("", _at_least, 2, mesh_levels=out["mesh_levels"])
+    _rule("", gaussian._rho_variation_args, out["mesh_levels"])
     _rule("", _at_least, 0, n_dump=out["n_dump"])
     return out
 

@@ -468,6 +468,11 @@ def simulate_paths(model: CovarianceModel, times, n: int, master_seed: int):
 # ---------------------------------------------------------------------------
 
 
+def _rho_variation_args(mesh_levels: int) -> None:
+    """rho_variation_audit's rule: a refinement sequence needs two levels."""
+    _at_least(2, mesh_levels=mesh_levels)
+
+
 def rho_variation_audit(model: CovarianceModel, interval=(0.0, 1.0), mesh_levels: int = 6) -> dict:
     """Two-parameter rho-variation of the covariance over [s,t]^2 on dyadic meshes.
 
@@ -475,6 +480,7 @@ def rho_variation_audit(model: CovarianceModel, interval=(0.0, 1.0), mesh_levels
     sequence; the fitted constant is the largest estimate / |t-s|^{1/rho}
     ratio over the tested dyadic subintervals.
     """
+    _rho_variation_args(mesh_levels)
     s, t = float(interval[0]), float(interval[1])
     if not (0.0 <= s < t <= model.horizon + 1e-12):
         raise ValueError(f"interval {interval} outside [0, {model.horizon}]")

@@ -127,7 +127,7 @@ def _proportion_report(name, hits, n, rhs, config, se=None, notes=(),
 def _anderson_args(model, alpha, eps, n, seed, n_steps, n_low=1) -> None:
     """The rules of the checks on dyadic lifted-ball norms; the others need
     n >= n_low = 2 for a sample standard error."""
-    _check_alpha(model, alpha, "rough_holder_dyadic")
+    _check_alpha(model.rho, alpha, "rough_holder_dyadic")
     _positive("eps", eps)
     _at_least(n_low, n=n)
     _at_least(0, seed=seed)

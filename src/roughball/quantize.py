@@ -10,6 +10,8 @@ sharing one workspace.
 Probability enters through small-ball curves: the monotone -log p transform
 and its inverse (isotonic regression, then linear interpolation in log-log
 space) convert a Monte-Carlo curve into entropy and quantization bounds.
+Lloyd codebooks keep their geometric prefix-mean centres (r = 2) as they
+are, and the empirical-rate bootstrap redraws the reference cloud too.
 """
 
 from __future__ import annotations
@@ -501,10 +503,15 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
     The mean of prefix arrays is generally not weakly geometric; per step the
     symmetric level-2 part is restored to half the outer square of the step's
     level-1 increment while the antisymmetric (area) part of the mean is kept.
+    The mean of one path is that path, so a one-member cluster's centre is its
+    member, bit for bit.
     """
     centers = []
     for k in range(n):
         members = assign == k
+        if np.count_nonzero(members) == 1:
+            centers.append(samples.path(int(np.argmax(members))))
+            continue
         b, c = GridRoughPath(samples.times, samples.B[members].mean(axis=0),
                              samples.C[members].mean(axis=0)).step_arrays()
         anti = 0.5 * (c - np.swapaxes(c, -1, -2))
@@ -538,15 +545,20 @@ def _lloyd_args(m: int, n: int, r: float, max_iter: int, tol: float, mode: str,
 def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: int = 0,
                    max_iter: int = 60, tol: float = 1e-6, mode: str = "auto",
                    variant: str = DEFAULT_NORM_VARIANT) -> Codebook:
-    """Lloyd iteration under the Hölder metric.
+    """Lloyd iteration under the Hölder metric, from k-means++ centres.
 
-    Center updates: 'medoid' picks the cluster member minimizing the summed
+    Each step assigns every training path to its nearest centre, then moves
+    the centres: 'medoid' picks the cluster member minimizing the summed
     r-th-power distance (metric-only, distortion non-increasing, quadratic in
     cluster size); 'mean' (r = 2 only) takes coordinatewise prefix means with
-    geometric re-projection and finishes with a medoid polish pass snapping
-    each center to its nearest cluster member, so the final codebook again
-    consists of sample paths.  'auto' selects 'mean' for r = 2, else 'medoid'.
-    Empty clusters are re-seeded at the currently farthest sample.
+    geometric re-projection, so its centres are in general not sample paths.
+    'auto' selects 'mean' for r = 2, else 'medoid'.  Empty clusters are
+    re-seeded at the currently farthest sample.  It stops after max_iter
+    updates, or once an update lowers the training distortion by less than
+    tol relative (prefix means do not minimise the Hölder distortion, so mean
+    mode usually stops at a rise).  history holds the training distortion of
+    each set of centres; the codebook keeps the last set, so its distortion
+    is history[-1].
     """
     if not isinstance(samples, LiftedSet):
         samples = LiftedSet.from_paths(samples)
@@ -556,23 +568,20 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: in
     centers = samples.subset(_kmeanspp_init(samples, n, r, alpha, variant, seed))
 
     history = []
-    prev = np.inf
-    assign = None
-    for _ in range(max_iter):
+    while True:
         dist = pairwise_distance(samples, centers, alpha, variant)
         assign = np.argmin(dist, axis=1)
         min_dist = dist[np.arange(m), assign]
+        history.append(float(np.mean(min_dist**r) ** (1.0 / r)))
+        if len(history) > max_iter or (
+                len(history) > 1 and history[-2] - history[-1] < tol * max(history[-2], 1e-30)):
+            break
         # re-seed empty clusters at the farthest sample, lowest index on ties
         for k in range(n):
             if not np.any(assign == k):
                 far = int(np.argmax(min_dist))
                 assign[far] = k
                 min_dist[far] = 0.0
-        distortion = float(np.mean(min_dist**r) ** (1.0 / r))
-        history.append(distortion)
-        if prev - distortion < tol * max(prev, 1e-30) and len(history) > 1:
-            break
-        prev = distortion
 
         if mode == "medoid":
             new_idx = np.empty(n, dtype=np.intp)
@@ -585,25 +594,6 @@ def lloyd_codebook(samples, n: int, r: float = 2.0, alpha: float = 0.4, seed: in
             centers = samples.subset(new_idx)
         else:
             centers = _geometric_mean_centers(samples, assign, n)
-    else:
-        dist = None  # max_iter ran out: the centres moved after the last distances
-
-    if mode == "mean":
-        # polish: snap each center to its nearest assigned member
-        if dist is None:
-            dist = pairwise_distance(samples, centers, alpha, variant)
-        assign = np.argmin(dist, axis=1)
-        snap = np.empty(n, dtype=np.intp)
-        for k in range(n):
-            members = np.nonzero(assign == k)[0]
-            if members.size == 0:
-                members = np.arange(m)
-            snap[k] = members[int(np.argmin(dist[members, k]))]
-        centers = samples.subset(snap)
-        dist = pairwise_distance(samples, centers, alpha, variant)
-        min_dist = dist.min(axis=1)
-        distortion = float(np.mean(min_dist**r) ** (1.0 / r))
-        history.append(distortion)
 
     return Codebook(
         centers=centers,
@@ -622,7 +612,7 @@ def _quantization_error_args(n_fresh: int, name: str = "fresh") -> None:
     _at_least(2, **{name: n_fresh})
 
 
-def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = None,
+def quantization_error(codebook: Codebook, fresh: LiftedSet,
                        sbp_curve: SBPCurve | SBPTransform | None = None) -> dict:
     """Out-of-sample distortion and the curve-derived lower bound.
 
@@ -634,8 +624,7 @@ def quantization_error(codebook: Codebook, fresh: LiftedSet, r: float | None = N
     E_hat >= bound is evaluated with 4-SE Monte-Carlo slack.
     """
     _quantization_error_args(fresh.size)
-    if r is None:
-        r = codebook.order
+    r = codebook.order
     dist = pairwise_distance(fresh, codebook.centers, codebook.alpha, codebook.variant)
     min_dist = dist.min(axis=1)
     powers = min_dist**r
@@ -864,6 +853,9 @@ def _transport_cost(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) ->
                               else cost.item(parent[a], a - m)) for a in range(root))
 
 
+_TRANSPORT_ATOMS = 4096
+
+
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float,
                 variant: str = DEFAULT_NORM_VARIANT,
                 cost_matrix: np.ndarray | None = None) -> float:
@@ -872,14 +864,14 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, r: float, alpha: float
     Solved exactly by a transportation simplex: the optimal plan is a
     spanning tree of at most m + n - 1 cells, and its cost is summed with
     one rounding (math.fsum), so the same input always gives the same
-    float.  Supports up to 4096 combined atoms.  cost_matrix overrides the
-    distance computation when the caller has it already.
+    float.  Supports up to _TRANSPORT_ATOMS combined atoms; cost_matrix
+    overrides the distance computation when the caller has it already.
     """
     if not 0.0 < r < np.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
     m, n = mu.atoms.size, nu.atoms.size
-    if m + n > 4096:
-        raise ValueError(f"combined support {m + n} exceeds the 4096-atom limit")
+    if m + n > _TRANSPORT_ATOMS:
+        raise ValueError(f"combined support {m + n} exceeds the {_TRANSPORT_ATOMS}-atom limit")
     if cost_matrix is None:
         cost_matrix = pairwise_distance(mu.atoms, nu.atoms, alpha, variant) ** r
     cost = np.asarray(cost_matrix, dtype=float)
@@ -895,16 +887,16 @@ def _empirical_args(model: CovarianceModel, alpha: float, r: float, n_list, reps
                     m_weights: int, test_size: int, bootstrap: int):
     """Check empirical_rate_experiment's arguments before anything is sampled.
     Messages read '<argument>: <rule>'."""
-    _check_alpha(model, alpha, "rough_holder_dyadic")
+    _check_alpha(model.rho, alpha, "rough_holder_dyadic")
     _at_least(1, r=r)
     if len(n_list) == 0:
         raise ValueError("n_list: needs at least one atom count")
     _at_least(1, **{f"n_list[{i}]": n for i, n in enumerate(n_list)}, reps=reps,
               m_weights=m_weights, test_size=test_size)
-    _at_least(0, bootstrap=bootstrap)
-    if test_size + max(n_list) > 4096:
+    _at_least(2, bootstrap=bootstrap)
+    if test_size + max(n_list) > _TRANSPORT_ATOMS:
         raise ValueError(f"test_size: the reference cloud plus the largest atom count, "
-                         f"{test_size} + {max(n_list)}, exceeds the transport size limit 4096")
+                         f"{test_size} + {max(n_list)}, exceeds {_TRANSPORT_ATOMS}")
 
 
 def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
@@ -914,13 +906,14 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
     """Convergence of weighted vs uniform empirical measures to the law.
 
     The law is approximated by one fixed reference cloud of test_size
-    samples (a documented surrogate; its error is common to both measures).
-    For each cell (n, rep): draw n atoms, estimate Voronoi weights from
-    m_weights fresh samples, and measure W_r to the reference cloud for both
-    weightings.  The weighted-measure noise from weight estimation is sized
-    by a small multinomial bootstrap so the domination statistic
+    samples (a documented surrogate).  For each cell (n, rep): draw n atoms,
+    estimate Voronoi weights from m_weights fresh samples, and measure W_r to
+    the reference cloud for both weightings.  Each bootstrap replicate
+    redraws the reference cloud and the Voronoi counts (multinomially) and
+    solves both weightings; the sd of W_weighted - W_uniform over them is
+    diff_se, so the domination statistic
 
-        W_r(reference, weighted) <= W_r(reference, uniform) + 4 SE
+        W_r(reference, weighted) <= W_r(reference, uniform) + 4 diff_se
 
     can be evaluated per cell.  The constant-free prediction (log n)^-beta,
     beta = 1/(2 rho) - alpha, is reported alongside, never asserted.
@@ -931,7 +924,7 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
 
     ref_seed = int(np.random.SeedSequence((seed, 0x5EF)).generate_state(1)[0])
     reference = LiftedSet.from_model(model, test_size, ref_seed, n_steps)
-    ref_measure_w = np.full(test_size, 1.0 / test_size)
+    ref_dm = DiscreteMeasure(reference, np.full(test_size, 1.0 / test_size))
 
     rows = []
     for n in n_list:
@@ -941,27 +934,26 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
             cost = pairwise_distance(reference, atoms, alpha, variant) ** r
             measures = empirical_measures(model, atoms, m_weights, alpha, cell_seed + 1,
                                           variant)
-            weights = measures["weighted"].weights
 
-            ref_dm = DiscreteMeasure(reference, ref_measure_w)
             w_weighted = wasserstein(ref_dm, measures["weighted"], r, alpha, cost_matrix=cost)
             w_uniform = wasserstein(ref_dm, measures["uniform"], r, alpha, cost_matrix=cost)
-            boot_vals = []
+            diffs = []
             boot_rng = np.random.default_rng((seed, n, rep, 0xB007))
             for _ in range(bootstrap):
-                bw = boot_rng.multinomial(m_weights, weights).astype(float)
-                if bw.sum() == 0:
-                    continue
-                boot_vals.append(
-                    wasserstein(ref_dm, DiscreteMeasure(atoms, bw / bw.sum()),
-                                r, alpha, cost_matrix=cost))
-            se = float(np.std(boot_vals, ddof=1)) if len(boot_vals) > 1 else 0.0
+                ref_b = DiscreteMeasure(
+                    reference, boot_rng.multinomial(test_size, ref_dm.weights) / test_size)
+                counts = boot_rng.multinomial(m_weights, measures["weighted"].weights)
+                diffs.append(
+                    wasserstein(ref_b, DiscreteMeasure(atoms, counts / m_weights), r, alpha,
+                                cost_matrix=cost)
+                    - wasserstein(ref_b, measures["uniform"], r, alpha, cost_matrix=cost))
+            se = float(np.std(diffs, ddof=1))
             rows.append({
                 "n": n,
                 "rep": rep,
                 "W_weighted": float(w_weighted),
                 "W_uniform": float(w_uniform),
-                "weight_se": se,
+                "diff_se": se,
                 "dominates_within_noise": bool(w_weighted <= w_uniform + 4.0 * se),
                 "prediction": float(np.log(n) ** (-beta)) if n > 1 else float("nan"),
                 "seed": cell_seed,

@@ -246,7 +246,7 @@ def _run_empirical(cfg: dict, model, threads: int, cfg_hash: str) -> dict:
         "loglog_slope": res["loglog_slope"],
         "beta": res["beta"],
         "domination": [
-            {"n": row["n"], "rep": row["rep"], "weight_se": row["weight_se"],
+            {"n": row["n"], "rep": row["rep"], "diff_se": row["diff_se"],
              "dominates_within_noise": row["dominates_within_noise"]}
             for row in res["rows"]
         ],

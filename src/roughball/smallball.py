@@ -126,10 +126,8 @@ def erf_bound_scan(n_s: int = 100, n_t: int = 100, s_max: float = 5.0, t_max: fl
 
 def predicted_sbp_index(rho: float, alpha: float) -> float:
     """Theoretical small-ball index 1 / (1/(2 rho) - alpha) for rough norms."""
-    limit = 1.0 / (2.0 * rho)
-    if alpha >= limit:
-        raise ValueError(f"alpha must lie below 1/(2 rho) = {limit:g}, got {alpha}")
-    return 1.0 / (limit - alpha)
+    _check_alpha(rho, alpha, "rough_holder_dyadic")
+    return 1.0 / (1.0 / (2.0 * rho) - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +380,11 @@ def sample_lemma_bound_norms(model: CovarianceModel, alpha: float, n_samples: in
                                                                      bound_scale, e)))
 
 
-def _check_alpha(model: CovarianceModel, alpha: float, norm_kind: str) -> None:
+def _check_alpha(rho: float, alpha: float, norm_kind: str) -> None:
     if norm_kind == "path_holder":
         _check_holder_alpha(alpha)
         return
-    upper = 1.0 / (2.0 * model.rho)
+    upper = 1.0 / (2.0 * rho)
     if not (1.0 / 3.0 < alpha < upper):
         raise ValueError(f"alpha: must lie in (1/3, {upper:g}), got {alpha}")
 
@@ -398,7 +396,7 @@ def _sbp_curve_args(model: CovarianceModel, alpha: float, norm_kind: str, eps_li
     eps_list, n_samples and n_steps called eps_name, n_name and steps_name."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind: must be one of {NORM_KINDS}, got {norm_kind!r}")
-    _check_alpha(model, alpha, norm_kind)
+    _check_alpha(model.rho, alpha, norm_kind)
     _eps_grid(eps_list, eps_name)
     _at_least(1, **{n_name: n_samples})
     if norm_kind == "rough_holder_lemma_bound":  # its default scale, 4 steps, is T 2^-e, e >= 1

@@ -17,7 +17,8 @@ between lifted sets, to the single-path Hoelder distance and geometric
 defect, and level by level, path by path to the dyadic discretisation bound.
 The reproducing-kernel norm references factor one Gram matrix per drift path
 and seed one generator per mesh path, as the routes before them did.  The
-Lloyd reference spells out one mean-mode iteration and its polish.
+Lloyd references spell out one mean-mode iteration, and the mean mode with
+the medoid polish that quantize codebooks used to end with.
 They keep the arithmetic of the loops they replaced, so np.array_equal
 against them is the right test.
 """
@@ -350,8 +351,7 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
 def lloyd_mean_one_iteration(samples, n, alpha, seed, variant="sum"):
     """(centres' level-1 prefixes, history) of lloyd_codebook in mean mode with
     max_iter=1, written out: k-means++ centres, one assignment, the geometric
-    mean centres, then the medoid polish against the distances to those new
-    centres, which the one iteration never computed."""
+    mean centres, and the distances to those new centres."""
     from roughball.quantize import _geometric_mean_centers, _kmeanspp_init, pairwise_distance
 
     m = samples.size
@@ -359,25 +359,78 @@ def lloyd_mean_one_iteration(samples, n, alpha, seed, variant="sum"):
     dist = pairwise_distance(samples, centers, alpha, variant)
     assign = np.argmin(dist, axis=1)
     min_dist = dist[np.arange(m), assign]
+    history = [float(np.mean(min_dist**2.0) ** 0.5)]
     for k in range(n):
         if not np.any(assign == k):
             far = int(np.argmax(min_dist))
             assign[far] = k
             min_dist[far] = 0.0
-    history = [float(np.mean(min_dist**2.0) ** 0.5)]
     centers = _geometric_mean_centers(samples, assign, n)
-    dist = pairwise_distance(samples, centers, alpha, variant)
+    min_dist = pairwise_distance(samples, centers, alpha, variant).min(axis=1)
+    history.append(float(np.mean(min_dist**2.0) ** 0.5))
+    return centers.B, tuple(history)
+
+
+def _prefix_mean_centres(samples, assign, n):
+    """Geometric prefix-mean centres as the polished route computed them: a
+    one-member cluster's centre goes through the re-projection too."""
+    from roughball.paths import GridRoughPath
+    from roughball.quantize import LiftedSet
+
+    centers = []
+    for k in range(n):
+        members = assign == k
+        b, c = GridRoughPath(samples.times, samples.B[members].mean(axis=0),
+                             samples.C[members].mean(axis=0)).step_arrays()
+        anti = 0.5 * (c - np.swapaxes(c, -1, -2))
+        c = 0.5 * b[:, :, None] * b[:, None, :] + anti
+        centers.append(GridRoughPath.from_steps(samples.times, (b, c)))
+    return LiftedSet.from_paths(centers)
+
+
+def lloyd_mean_polished(samples, n, alpha, seed, max_iter=60, tol=1e-6, variant="sum"):
+    """lloyd_codebook's mean mode with the medoid polish it used to end with.
+
+    At most max_iter assignments of prefix-mean Lloyd steps from k-means++
+    centres; then each centre snaps to its nearest cluster member, so the
+    codebook consists of training paths.  The distortion of the snapped
+    centres closes the history.  Quantize artifacts came from this route
+    before the polish was deleted.
+    """
+    from roughball.quantize import Codebook, _kmeanspp_init, pairwise_distance
+
+    m = samples.size
+    centers = samples.subset(_kmeanspp_init(samples, n, 2.0, alpha, variant, seed))
+    history = []
+    prev = np.inf
+    for _ in range(max_iter):
+        dist = pairwise_distance(samples, centers, alpha, variant)
+        assign = np.argmin(dist, axis=1)
+        min_dist = dist[np.arange(m), assign]
+        for k in range(n):
+            if not np.any(assign == k):
+                far = int(np.argmax(min_dist))
+                assign[far] = k
+                min_dist[far] = 0.0
+        distortion = float(np.mean(min_dist**2.0) ** 0.5)
+        history.append(distortion)
+        if prev - distortion < tol * max(prev, 1e-30) and len(history) > 1:
+            break
+        prev = distortion
+        centers = _prefix_mean_centres(samples, assign, n)
+    else:
+        dist = pairwise_distance(samples, centers, alpha, variant)
     assign = np.argmin(dist, axis=1)
-    snap = []
+    snap = np.empty(n, dtype=np.intp)
     for k in range(n):
         members = np.nonzero(assign == k)[0]
         if members.size == 0:
             members = np.arange(m)
-        snap.append(members[int(np.argmin(dist[members, k]))])
+        snap[k] = members[int(np.argmin(dist[members, k]))]
     centers = samples.subset(snap)
     min_dist = pairwise_distance(samples, centers, alpha, variant).min(axis=1)
     history.append(float(np.mean(min_dist**2.0) ** 0.5))
-    return centers.B, tuple(history)
+    return Codebook(centers, 2.0, history[-1], m, float(alpha), variant, tuple(history), "mean")
 
 
 def dyadic_pair_indices_loop(n_steps):

@@ -334,6 +334,7 @@ BAD_VALUES = [
     (dict(TINY_AUDIT, h_window=0.0), "h_window: must lie in (0, 1.0]"),
     (dict(TINY_AUDIT, mesh_levels=1), "mesh_levels: must be >= 2"),
     (dict(TINY_AUDIT, n_dump=-1), "n_dump: must be >= 0"),
+    (dict(TINY_EMPIRICAL, bootstrap=1), "bootstrap: must be >= 2"),
 ]
 
 

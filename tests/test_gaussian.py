@@ -207,6 +207,12 @@ def test_rho_audit_brownian_and_fbm():
     assert rf["rho"] == pytest.approx(1.0 / (2 * 0.4), abs=1e-12)
 
 
+@pytest.mark.parametrize("levels", [0, 1])
+def test_rho_audit_needs_two_mesh_levels(levels):
+    with pytest.raises(ValueError, match=f"^mesh_levels: must be >= 2, got {levels}"):
+        rho_variation_audit(brownian_model(), (0.0, 1.0), levels)
+
+
 def test_sigma_audit_brownian_passes():
     sa = sigma_conditions_audit(brownian_model(), h_window=0.5)
     assert sa["doubling_pass"] and sa["envelope_pass"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import golden
 from oracles import (brute_force_transport, highs_transport, lloyd_mean_one_iteration,
-                     pairwise_distance_loop)
+                     lloyd_mean_polished, pairwise_distance_loop)
 from roughball import (
     CMPath,
     DiscreteMeasure,
@@ -36,8 +36,22 @@ from roughball import (
 )
 from roughball import paths, quantize
 from roughball.algebra import G2Element
-from roughball.runner import run
+from roughball.config import parse_config
+from roughball.runner import _subseed, run
 from roughball.smallball import synthetic_curve
+
+
+def _bench_config(stage, seed):
+    """The benchmark's quantize_transport stage config at a config seed."""
+    path = os.path.join(golden.ROOT, "perfbench", "configs",
+                        f"quantize_transport.{stage}.json")
+    with open(path, encoding="utf-8") as fh:
+        return dict(json.load(fh), seed=seed)
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 def _brownian_set(n, seed, n_steps=64, dim=1):
@@ -276,22 +290,61 @@ def test_lloyd_medoid_history_is_monotone():
     assert cb.distortion == pytest.approx(hist[-1])
 
 
-def test_lloyd_mean_mode_polish_snaps_to_members():
+def test_lloyd_mean_mode_centres_are_geometric_means_of_their_clusters():
     samples = _brownian_set(120, 19)
-    cb = lloyd_codebook(samples, 3, seed=5, mode="mean", max_iter=15)
-    hist = np.array(cb.history)
-    # the accelerated update is heuristic and may wobble; the contract is the
-    # final snap to sample medoids plus a net improvement over the start
-    assert cb.distortion <= hist[0] + 1e-12
-    assert cb.distortion == pytest.approx(hist[-1])
-    D = pairwise_distance(cb.centers, samples, alpha=cb.alpha)
-    assert D.min(axis=1).max() <= 1e-7  # every center is an actual sample
+    cb = lloyd_codebook(samples, 3, seed=5, mode="mean")
+    # the same run stopped one update earlier holds the centres the last
+    # assignment was made to
+    before = lloyd_codebook(samples, 3, seed=5, mode="mean", max_iter=len(cb.history) - 2)
+    assert before.history == cb.history[:-1]
+    assign = np.argmin(pairwise_distance(samples, before.centers, alpha=cb.alpha), axis=1)
+    means = quantize._geometric_mean_centers(samples, assign, 3)
+    assert np.array_equal(means.B, cb.centers.B) and np.array_equal(means.C, cb.centers.C)
+    assert cb.distortion < cb.history[0]
+    # means of many paths are no training paths
+    assert pairwise_distance(cb.centers, samples, alpha=cb.alpha).min() > 0.1
 
 
 def test_lloyd_exact_fit_when_codebook_covers_samples():
     samples = _brownian_set(5, 23)
     cb = lloyd_codebook(samples, 5, seed=1)
-    assert cb.distortion == pytest.approx(0.0, abs=1e-12)
+    assert cb.distortion == 0.0
+    # the mean of a one-member cluster is that member, bit for bit
+    assert np.array_equal(np.sort(cb.centers.B, axis=0), np.sort(samples.B, axis=0))
+
+
+@pytest.mark.parametrize("mode", ["medoid", "mean"])
+@pytest.mark.parametrize("max_iter", [1, 2, 60])
+def test_lloyd_distortion_is_that_of_the_returned_centres(mode, max_iter):
+    samples = _brownian_set(80, 17)
+    cb = lloyd_codebook(samples, 4, seed=3, mode=mode, max_iter=max_iter)
+    min_dist = pairwise_distance(samples, cb.centers, alpha=cb.alpha).min(axis=1)
+    assert cb.distortion == cb.history[-1] == float(np.mean(min_dist**2.0) ** 0.5)
+    assert len(cb.history) <= max_iter + 1  # one entry per set of centres
+
+
+# E_hat at n = 4, 16, 32 of the polished mean-mode codebooks on the benchmark
+# quantize stage, as its quantize.csv recorded them while the polish was kept
+_POLISHED_E_HAT = {
+    1: (2.1757946262902546, 1.9863079605503378, 1.9322339991839135),
+    7: (2.130185870312112, 1.9990406865525805, 1.9457084973485512),
+    12345: (2.114032668382342, 1.9641254484281734, 1.9280155896864788),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_POLISHED_E_HAT))
+def test_lloyd_means_quantize_fresh_paths_better_than_the_polished_codebooks(seed):
+    cfg = _bench_config("quantize", seed)
+    model = parse_config(cfg).model()
+    n_steps, alpha = cfg["grid"]["N"], cfg["alpha"]
+    train = LiftedSet.from_model(model, cfg["n_train"], _subseed(seed, "train"), n_steps)
+    fresh = LiftedSet.from_model(model, cfg["n_fresh"], _subseed(seed, "fresh"), n_steps)
+    for n, recorded in zip(cfg["n_centers"], _POLISHED_E_HAT[seed]):
+        lloyd_seed = _subseed(seed, "lloyd", n)
+        polished = quantization_error(lloyd_mean_polished(train, n, alpha, lloyd_seed), fresh)
+        assert polished["E_hat"] == recorded
+        means = quantization_error(lloyd_codebook(train, n, 2.0, alpha, seed=lloyd_seed), fresh)
+        assert means["E_hat"] < polished["E_hat"]
 
 
 def test_lloyd_static_gaussian_small_run():
@@ -375,7 +428,7 @@ def test_lloyd_rejects_bad_arguments_before_any_distance(monkeypatch, kwargs, me
     ({"n_list": []}, "^n_list: needs at least one atom count"),
     ({"test_size": 4000, "n_list": [8, 97]}, "^test_size: .* 4000 \\+ 97, exceeds"),
     ({"m_weights": 0}, "^m_weights: must be >= 1"),
-    ({"bootstrap": -1}, "^bootstrap: must be >= 0"),
+    ({"bootstrap": 1}, "^bootstrap: must be >= 2"),
 ])
 def test_rate_experiment_rejects_bad_counts_before_sampling(monkeypatch, kwargs, message):
     monkeypatch.setattr(quantize.LiftedSet, "from_model", _no_work)
@@ -407,15 +460,22 @@ def test_quantization_bound_past_the_resolution_floor():
 def test_quantize_stage_completes_past_the_resolution_floor(tmp_path):
     # this seed's curve has no hits up to eps 1.188 and p_hat 0.01625 at
     # 1.356, so -log p resolves only up to 4.12 < log(2 * 32)
-    path = os.path.join(golden.ROOT, "perfbench", "configs", "quantize_transport.quantize.json")
-    with open(path, encoding="utf-8") as fh:
-        config = dict(json.load(fh), seed=602217019)
-    run(config, out_dir=str(tmp_path), threads=1)
-    with open(tmp_path / "quantize.csv", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    run(_bench_config("quantize", 602217019), out_dir=str(tmp_path), threads=1)
+    rows = _csv_rows(tmp_path / "quantize.csv")
     assert [row["holds_within_slack"] for row in rows] == ["True"] * 3
     bounds = {int(row["n"]): float(row["lower_bound"]) for row in rows}
     assert bounds == {4: 1.584333217248184, 16: 1.413292462341551, 32: 1.1882960774982871}
+
+
+# config seeds of benchmark rounds where the polished codebooks' E_hat rose
+# from n = 16 to n = 32: seed 7 round 21, seed 103 rounds 15, 137 and 147
+@pytest.mark.parametrize("seed", [1050934107, 139203133, 759409457, 1377505557])
+def test_quantize_stage_e_hat_falls_with_n(tmp_path, seed):
+    run(_bench_config("quantize", seed), out_dir=str(tmp_path), threads=1)
+    rows = sorted(_csv_rows(tmp_path / "quantize.csv"), key=lambda row: int(row["n"]))
+    e_hat = [float(row["E_hat"]) for row in rows]
+    assert e_hat == sorted(e_hat, reverse=True)
+    assert all(row["holds_within_slack"] == "True" for row in rows)
 
 
 # ------------------------------------------------------------------ transport
@@ -545,7 +605,7 @@ def test_rate_experiment_schema_and_domination():
     assert len(rows) == 4
     for row in rows:
         assert set(row) >= {"n", "rep", "W_weighted", "W_uniform", "prediction", "seed",
-                            "weight_se", "dominates_within_noise"}
+                            "diff_se", "dominates_within_noise"}
         assert row["dominates_within_noise"]
     assert res["beta"] == pytest.approx(1.0 / 2.0 - 0.4)
     assert set(res["summary"]) == {4, 8}
@@ -553,6 +613,17 @@ def test_rate_experiment_schema_and_domination():
         assert cell["W_weighted_se"] > 0
     preds = [row["prediction"] for row in sorted(rows, key=lambda r: r["n"])]
     assert preds[0] >= preds[-1]
+
+
+# config seeds of benchmark rounds with a cell whose weight-only bootstrap SE
+# failed the dominance check: seed 103 round 100 and seed 81 round 2
+@pytest.mark.parametrize("seed", [1003652527, 1141341265])
+def test_empirical_stage_dominates_in_every_cell(tmp_path, seed):
+    run(_bench_config("empirical", seed), out_dir=str(tmp_path), threads=1)
+    with open(tmp_path / "summary.json", encoding="utf-8") as fh:
+        cells = json.load(fh)["domination"]
+    assert len(cells) == 6
+    assert all(cell["dominates_within_noise"] for cell in cells)
 
 
 def test_rate_experiment_rejects_flat_exponent():

@@ -106,6 +106,12 @@ def test_predicted_index_value():
     assert predicted_sbp_index(1.0, 0.4) == pytest.approx(10.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_predicted_index_needs_alpha_in_the_rough_window(alpha):
+    with pytest.raises(ValueError, match=r"^alpha: must lie in \(1/3, 0.5\)"):
+        predicted_sbp_index(1.0, alpha)
+
+
 def test_curve_from_norms_is_empirical_cdf():
     norms = np.array([0.5, 1.0, 1.5, 2.5, 3.0])
     eps = [1.2, 2.0, 2.8]

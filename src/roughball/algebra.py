@@ -9,11 +9,14 @@ The homogeneous norm comes in two equivalent variants built from logarithmic
 coordinates: ``sum`` adds |level-1 coord| and sqrt|level-2 coord| over the
 tensor basis, ``sup`` takes the maximum of the same terms.  ``sum`` is the
 package-wide default (see DEFAULT_NORM_VARIANT); keep one variant per study so
-constants are comparable.
+constants are comparable.  batch_homogeneous_norm is the norm step of the
+increment kernel in paths: it takes component-major stacks and adds its
+terms in index order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,22 +168,53 @@ def homogeneous_norm(x: G2Element, variant: str | None = None) -> float:
     return float(max(l1.max(initial=0.0), l2.max(initial=0.0)))
 
 
-def batch_homogeneous_norm(level1, level2, variant: str | None = None) -> np.ndarray:
-    """Vectorized homogeneous norm for stacked group elements.
+def _scratch(work, name, shape):
+    """An uninitialised float array from the caller's workspace dict: a view,
+    cached per (name, shape), of one flat buffer per name that grows on
+    demand.  None without a workspace, so that out=None allocates."""
+    if work is None:
+        return None
+    view = work.get((name, shape))
+    if view is None:
+        size = math.prod(shape)
+        if name not in work or work[name].size < size:
+            work[name] = np.empty(size)
+        view = work[name, shape] = work[name][:size].reshape(shape)
+    return view
 
-    ``level1`` has shape (..., d) and ``level2`` shape (..., d, d); returns an
-    array of norms with the leading shape.  Used by the metric and Monte-Carlo
-    layers where per-element Python objects would dominate the runtime.
+
+def batch_homogeneous_norm(level1, level2, variant: str | None = None,
+                           work=None) -> np.ndarray:
+    """Homogeneous norms of stacked group elements, component-major.
+
+    ``level1`` has shape (d, ...) and ``level2`` shape (d, d, ...), so every
+    operation runs over the long trailing axes; returns the norms, shape
+    (...).  The d level-1 terms and the d*d level-2 terms are each combined
+    in index order, then the two parts.  With a workspace dict (see
+    _scratch) the temporaries and the result live in its buffers.
     """
-    v = _resolve_variant(variant)
-    level1 = np.asarray(level1, dtype=float)
-    level2 = np.asarray(level2, dtype=float)
-    a2 = level2 - 0.5 * level1[..., :, None] * level1[..., None, :]
-    l1 = np.abs(level1)
-    l2 = np.sqrt(np.abs(a2))
-    if v == "sum":
-        return l1.sum(axis=-1) + l2.sum(axis=(-2, -1))
-    return np.maximum(l1.max(axis=-1), l2.max(axis=(-2, -1)))
+    reduce = np.add if _resolve_variant(variant) == "sum" else np.maximum
+    b = np.asarray(level1, dtype=float)
+    c = np.asarray(level2, dtype=float)
+    half = np.multiply(0.5, b[:, None], out=_scratch(work, "d", b[:, None].shape))
+    l2 = np.multiply(half, b[None, :], out=_scratch(work, "dd", c.shape))
+    np.subtract(c, l2, out=l2)
+    np.abs(l2, out=l2)
+    np.sqrt(l2, out=l2)
+    l1 = np.abs(b, out=_scratch(work, "d", b.shape))  # half is spent: share its buffer
+    part1 = _fold(reduce, l1, work, "part1")
+    part2 = _fold(reduce, l2.reshape((len(b) ** 2,) + b.shape[1:]), work, "part2")
+    return reduce(part1, part2, out=_scratch(work, "norm", b.shape[1:]))
+
+
+def _fold(ufunc, terms, work=None, name=None):
+    """terms[0] combined with terms[1], terms[2], ... by ufunc, in index order.
+    With a workspace dict the result goes into its buffer `name`."""
+    out = _scratch(work, name, terms.shape[1:]) if len(terms) > 1 else None
+    total = terms[0]
+    for term in terms[1:]:
+        total = ufunc(total, term, out=out)
+    return total
 
 
 def random_g2(rng: np.random.Generator, dim: int, scale: float = 1.0) -> G2Element:

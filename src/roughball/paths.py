@@ -6,34 +6,27 @@ so the group increment between any two grid indices i, j is the closed form
     level1 = B[j] - B[i]
     level2 = C[j] - C[i] - B[i] (x) (B[j] - B[i])
 
-which is Chen-consistent by construction.  Batch variants of the hot operations
-(lifting, increment extraction, homogeneous norms over dyadic pair families)
-work on stacked arrays and carry the Monte-Carlo layers; the object API stays
-convenient for single paths.
+which is Chen-consistent by construction.
 
-Every Hoelder norm runs through one kernel: dyadic_level_maxima (the
-small-ball sampler, the anderson, cameron_martin and rough Borell checks),
-the all-pairs and lemma-bound samplers of smallball, quantize.pairwise_distance
-and the object API (holder_distance, holder_norm, geometric_defect,
-dyadic_holder_bound).  It stores lifts component-major, B as (d, S, N+1) and
-C as (d, d, S, N+1), so every ufunc runs over long contiguous rows;
-sample-major arrays (S, N+1, d) would make numpy run millions of inner loops
-of length d.  A single path's prefix arrays enter as component-major views.
-A pair family, such as all 2N-1 dyadic pairs, is taken along the grid axis in
-one gather, and one maximum.reduceat gives every dyadic level's maximum: about
-twenty numpy calls per chunk of paths, where a pass per level costs ten times
-as many short calls, which make two worker threads wait on each other.  Paths
-and pairs are walked in chunks from _chunk_bounds.  A distance matrix divides
+Every Hoelder norm runs through one kernel of four public functions:
+batch_prefix lifts a block of paths, pair_increments gathers a pair family's
+increments, difference_increments forms group differences and
+algebra.batch_homogeneous_norm takes the norms.  Its callers are
+dyadic_level_maxima (the small-ball sampler, the anderson, cameron_martin
+and rough Borell checks), the all-pairs and lemma-bound samplers of
+smallball, quantize.pairwise_distance and the object API (holder_distance,
+holder_norm, geometric_defect, dyadic_holder_bound).  The kernel stores lifts
+component-major, B as (d, S, N+1) and C as (d, d, S, N+1), so every ufunc
+runs over long contiguous rows; sample-major arrays (S, N+1, d) would make
+numpy run millions of inner loops of length d.  A single path's prefix
+arrays enter as component-major views.  A pair family, such as all 2N-1
+dyadic pairs, is taken along the grid axis in one gather, and one
+maximum.reduceat gives every dyadic level's maximum: about twenty numpy
+calls per chunk of paths, where a pass per level costs ten times as many
+short calls, which make two worker threads wait on each other.  Paths and
+pairs are walked in chunks from _chunk_bounds.  A distance matrix divides
 each pair's norm by its level's scale and takes one max instead: correctly
 rounded division by s > 0 is monotone, so max(x) / s == max(x / s) exactly.
-
-The sample-major functions batch_prefix, pair_increments,
-difference_increments and algebra.batch_homogeneous_norm stay public entry
-points.  Nothing in the package calls the last three: the test oracles use
-them as bit-identity references and the benchmark tracer rebinds them by name.
-The kernel repeats their arithmetic operation for operation, including
-numpy's summation order over the d and d x d terms, so both routes give
-bit-identical norms.
 
 This module does no file I/O.  GridRoughPath.to_dict/from_dict give the JSON
 form that the runner writes into codebook artifacts.
@@ -41,12 +34,11 @@ form that the runner writes into codebook artifacts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Element, _resolve_variant
+from .algebra import G2Element, _fold, _resolve_variant, _scratch, batch_homogeneous_norm
 
 
 # Argument rules shared by the library's entry points and by config; like
@@ -86,6 +78,16 @@ def _check_times(times) -> np.ndarray:
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     return times
+
+
+def _check_uniform(times: np.ndarray) -> float:
+    """The length T > 0 of a grid of equal steps, to 1e-12 T: the grids of
+    dyadic pair families."""
+    T = times[-1] - times[0]
+    dt = np.diff(times)
+    if not (0.0 < T < np.inf and np.abs(dt - dt[0]).max() <= 1e-12 * T):
+        raise ValueError("times: must be a uniform grid")
+    return T
 
 
 @dataclass(frozen=True)
@@ -217,13 +219,16 @@ class GridRoughPath:
 # ---------------------------------------------------------------------------
 
 
-def _component_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix signatures of piecewise-linear paths, component-major.
 
     values has shape (S, N+1, d); returns level-1 prefixes (d, S, N+1) and
     level-2 prefixes (d, d, S, N+1).  Each linear step contributes
     (delta, 0.5 * delta (x) delta) and steps chain by the group product.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise ValueError("values must have shape (S, N+1, d)")
     vt = np.ascontiguousarray(values.transpose(2, 0, 1))
     delta = vt[..., 1:] - vt[..., :-1]
     d, S, N = delta.shape
@@ -235,21 +240,6 @@ def _component_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B, C
 
 
-def batch_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix signatures of piecewise-linear paths, batched.
-
-    values has shape (S, N+1, d); returns level-1 prefixes (S, N+1, d) and
-    level-2 prefixes (S, N+1, d, d).  Each linear step contributes
-    (delta, 0.5 * delta (x) delta) and steps chain by the group product.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3:
-        raise ValueError("values must have shape (S, N+1, d)")
-    B, C = _component_prefix(values)
-    return (np.ascontiguousarray(np.moveaxis(B, 0, -1)),
-            np.ascontiguousarray(np.moveaxis(C, (0, 1), (-2, -1))))
-
-
 def lift_piecewise_linear(path: CMPath) -> GridRoughPath:
     """Canonical step-2 signature lift of a piecewise-linear grid path.
 
@@ -257,7 +247,7 @@ def lift_piecewise_linear(path: CMPath) -> GridRoughPath:
     weakly geometric and invariant under grid refinement of the same polygon.
     """
     B, C = batch_prefix(path.values[None])
-    return GridRoughPath(path.times, B[0], C[0])
+    return GridRoughPath(path.times, B[:, 0].T, C[:, :, 0].transpose(2, 0, 1))
 
 
 def trivial_rough_path(times, dim: int) -> GridRoughPath:
@@ -292,59 +282,27 @@ def dyadic_pair_indices(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return _dyadic_pairs(n_points - 1)[:2]
 
 
-def pair_increments(
-    B: np.ndarray, C: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group increments for index pairs, from prefix arrays.
+def pair_increments(B, C, i_idx, j_idx) -> tuple[np.ndarray, np.ndarray]:
+    """Group increments for index pairs, from component-major prefix arrays.
 
-    B has shape (..., N+1, d) and C (..., N+1, d, d).  i_idx and j_idx are
-    index arrays of shape (K,), or slices selecting K grid points each (a
-    stride slice such as slice(0, N, s), slice(s, None, s) takes a view
-    instead of a gather).  Returns level 1 (..., K, d) and level 2
-    (..., K, d, d).
+    B has shape (d, ..., N+1) and C (d, d, ..., N+1); i_idx and j_idx are
+    index arrays of shape (K,).  Returns level 1 (d, ..., K) and level 2
+    (d, d, ..., K).
     """
-    Bi = B[..., i_idx, :]
-    b = B[..., j_idx, :] - Bi
-    c = C[..., j_idx, :, :] - C[..., i_idx, :, :] - Bi[..., :, None] * b[..., None, :]
+    Bi = np.take(B, i_idx, axis=-1)
+    b = np.take(B, j_idx, axis=-1) - Bi
+    c = np.take(C, j_idx, axis=-1) - np.take(C, i_idx, axis=-1) - Bi[:, None] * b[None, :]
     return b, c
 
 
-def difference_increments(bx, cx, by, cy) -> tuple[np.ndarray, np.ndarray]:
-    """Increments of the group difference x^{-1} * y from per-pair increments."""
-    b = by - bx
-    c = cy - cx - bx[..., :, None] * b[..., None, :]
+def difference_increments(bx, cx, by, cy, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Increments of the group difference x^{-1} * y from per-pair increments,
+    component-major: level 1 (d, ...) and level 2 (d, d, ...).  With a
+    workspace dict (see algebra._scratch) the results live in its buffers."""
+    b = np.subtract(by, bx, out=_scratch(work, "b", np.broadcast(by, bx).shape))
+    c = np.subtract(cy, cx, out=_scratch(work, "c", np.broadcast(cy, cx).shape))
+    np.subtract(c, np.multiply(bx[:, None], b[None, :], out=_scratch(work, "dd", c.shape)), out=c)
     return b, c
-
-
-def _scratch(work, name, shape):
-    """An uninitialised float array from the caller's workspace dict: a view,
-    cached per (name, shape), of one flat buffer per name that grows on
-    demand.  None without a workspace, so that out=None allocates."""
-    if work is None:
-        return None
-    view = work.get((name, shape))
-    if view is None:
-        size = math.prod(shape)
-        if name not in work or work[name].size < size:
-            work[name] = np.empty(size)
-        view = work[name, shape] = work[name][:size].reshape(shape)
-    return view
-
-
-def _component_sum(x, work, name):
-    """x[0] + x[1] + ... over the leading axis, in numpy's order for a sum over
-    a contiguous trailing axis of that length: batch_homogeneous_norm's order.
-    With a workspace dict the result goes into its buffer `name`."""
-    out = _scratch(work, name, x.shape[1:]) if len(x) > 1 else None
-    if len(x) < 8:
-        # numpy's pairwise summation is a sequential fold below 8 terms
-        total = x[0]
-        for row in x[1:]:
-            total = np.add(total, row, out=out)
-        return total
-    moved = np.moveaxis(x, 0, -1)  # summed as a C-order copy, whose last axis is contiguous
-    copy = np.positive(moved, out=_scratch(work, "moved", moved.shape), order="C")
-    return copy.sum(axis=-1, out=out)
 
 
 def _dyadic_pairs(n_steps: int):
@@ -364,44 +322,6 @@ def _component_major(B, C):
     """Component-major views (d, ..., N+1) and (d, d, ..., N+1) of sample-major
     prefix arrays (..., N+1, d) and (..., N+1, d, d), without a copy."""
     return np.moveaxis(B, -1, 0), np.moveaxis(C, (-2, -1), (0, 1))
-
-
-def _gathered_increments(B, C, i_idx, j_idx):
-    """Component-major group increments (d, ..., K) and (d, d, ..., K) for index pairs."""
-    Bi = np.take(B, i_idx, axis=-1)
-    b = np.take(B, j_idx, axis=-1) - Bi
-    c = np.take(C, j_idx, axis=-1) - np.take(C, i_idx, axis=-1) - Bi[:, None] * b[None, :]
-    return b, c
-
-
-def _component_difference(bx, cx, by, cy, work=None):
-    """Component-major increments (d, ...) and (d, d, ...) of the group
-    difference x^{-1} * y; difference_increments' arithmetic.  With a
-    workspace dict the results live in its buffers."""
-    b = np.subtract(by, bx, out=_scratch(work, "b", np.broadcast(by, bx).shape))
-    c = np.subtract(cy, cx, out=_scratch(work, "c", np.broadcast(cy, cx).shape))
-    np.subtract(c, np.multiply(bx[:, None], b[None, :], out=_scratch(work, "dd", c.shape)), out=c)
-    return b, c
-
-
-def _component_norms(b, c, variant, work=None):
-    """Homogeneous norms of component-major increments b (d, ...) and
-    c (d, d, ...), with their level-1 parts; batch_homogeneous_norm's
-    arithmetic.  With a workspace dict the results live in its buffers."""
-    half = np.multiply(0.5, b[:, None], out=_scratch(work, "d", b[:, None].shape))
-    l2 = np.multiply(half, b[None, :], out=_scratch(work, "dd", c.shape))
-    np.subtract(c, l2, out=l2)
-    np.abs(l2, out=l2)
-    np.sqrt(l2, out=l2)
-    l1 = np.abs(b, out=_scratch(work, "d", b.shape))  # half is spent: share its buffer
-    l2 = l2.reshape((l2.shape[0] * l2.shape[1],) + l2.shape[2:])
-    norm = _scratch(work, "norm", b.shape[1:])
-    if variant == "sum":
-        part1 = _component_sum(l1, work, "part1")
-        return np.add(part1, _component_sum(l2, work, "part2"), out=norm), part1
-    part1 = np.max(l1, axis=0, out=_scratch(work, "part1", b.shape[1:]))
-    return np.maximum(part1, np.max(l2, axis=0, out=_scratch(work, "part2", b.shape[1:])),
-                      out=norm), part1
 
 
 # The kernel walks its items (paths, one path's grid pairs, or the columns, then
@@ -432,10 +352,12 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
     each path's lift, the largest norm of its level-1 part, and, when a
     centre path (N+1, d) is given, the largest norm of the level-l increments
     of the group difference from the path's lift to the centre's lift
-    (None without a centre).  Bit-identical to batch_prefix, pair_increments,
-    difference_increments and batch_homogeneous_norm applied level by level.
+    (None without a centre).  The level-1 norm adds (sum variant) or takes
+    the largest of (sup) the terms |b_i| in index order, as the homogeneous
+    norm does.
     """
     v = _resolve_variant(variant)
+    level1 = np.add if v == "sum" else np.maximum
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError("values must have shape (S, N+1, d)")
@@ -450,17 +372,15 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
         centre = np.asarray(centre, dtype=float)
         if centre.shape != values.shape[1:]:
             raise ValueError(f"centre must have shape {values.shape[1:]}, got {centre.shape}")
-        bh, ch = _gathered_increments(*_component_prefix(centre[None]), i_idx, j_idx)
+        bh, ch = pair_increments(*batch_prefix(centre[None]), i_idx, j_idx)
         centred = np.empty_like(rough)
     for lo, hi in _chunk_bounds(S, len(i_idx) * (d + d * d)):
-        b, c = _gathered_increments(*_component_prefix(values[lo:hi]), i_idx, j_idx)
-        norms, lvl1 = _component_norms(b, c, v)
-        np.maximum.reduceat(norms, starts, axis=-1, out=rough[lo:hi])
-        np.maximum.reduceat(lvl1, starts, axis=-1, out=path[lo:hi])
+        b, c = pair_increments(*batch_prefix(values[lo:hi]), i_idx, j_idx)
+        np.maximum.reduceat(batch_homogeneous_norm(b, c, v), starts, axis=-1, out=rough[lo:hi])
+        np.maximum.reduceat(_fold(level1, np.abs(b)), starts, axis=-1, out=path[lo:hi])
         if centre is not None:
-            bd, cd = _component_difference(b, c, bh, ch)
-            np.maximum.reduceat(_component_norms(bd, cd, v)[0], starts, axis=-1,
-                                out=centred[lo:hi])
+            np.maximum.reduceat(batch_homogeneous_norm(*difference_increments(b, c, bh, ch), v),
+                                starts, axis=-1, out=centred[lo:hi])
     return rough, path, centred
 
 
@@ -477,7 +397,7 @@ def geometric_defect(x: GridRoughPath) -> float:
     i_all, j_all = all_pair_indices(x.times.shape[0])
     worst = 0.0
     for lo, hi in _chunk_bounds(len(i_all), x.dim + x.dim**2):
-        b, c = _gathered_increments(B, C, i_all[lo:hi], j_all[lo:hi])
+        b, c = pair_increments(B, C, i_all[lo:hi], j_all[lo:hi])
         gap = 0.5 * (c + np.swapaxes(c, 0, 1)) - 0.5 * b[:, None] * b[None, :]
         worst = max(worst, float(np.abs(gap).max()))
     return worst
@@ -552,9 +472,9 @@ def holder_distance(
     worst = 0.0
     for lo, hi in _chunk_bounds(len(i_all), x.dim + x.dim**2):
         i_idx, j_idx = i_all[lo:hi], j_all[lo:hi]
-        b, c = _component_difference(*_gathered_increments(Bx, Cx, i_idx, j_idx),
-                                     *_gathered_increments(By, Cy, i_idx, j_idx))
-        worst = max(worst, float((_component_norms(b, c, v)[0] / weights[lo:hi]).max()))
+        b, c = difference_increments(*pair_increments(Bx, Cx, i_idx, j_idx),
+                                     *pair_increments(By, Cy, i_idx, j_idx))
+        worst = max(worst, float((batch_homogeneous_norm(b, c, v) / weights[lo:hi]).max()))
     return worst
 
 
@@ -593,10 +513,7 @@ def _lemma_depths(times: np.ndarray, alpha: float, eps: float) -> tuple[int, int
     a uniform grid of 2^L steps, alpha in (0, 1] and eps = T 2^-e, 1 <= e < L."""
     n_steps = times.shape[0] - 1
     _power_of_two(2, n_steps=n_steps)
-    T = times[-1] - times[0]
-    dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=0.0, atol=1e-12 * T):
-        raise ValueError("needs a uniform grid")
+    T = _check_uniform(times)
     L = n_steps.bit_length() - 1
     _check_holder_alpha(alpha)
     ratio = T / eps
@@ -654,9 +571,9 @@ def dyadic_holder_bound(
     with 1 <= e < L so every window endpoint is a grid point.
     """
     L, e = _lemma_depths(x.times, alpha, eps)
-    b, c = _gathered_increments(*_component_major(x.prefix_level1, x.prefix_level2),
-                                *_dyadic_pairs(x.n_steps)[:2])
-    norms = _component_norms(b, c, _resolve_variant(variant))[0]
+    b, c = pair_increments(*_component_major(x.prefix_level1, x.prefix_level2),
+                           *_dyadic_pairs(x.n_steps)[:2])
+    norms = batch_homogeneous_norm(b, c, variant)
     coarse, fine = (float(term[0]) for term in _lemma_terms(norms[None], alpha, eps, e))
     return DyadicBoundResult(
         value=max(coarse, fine),

@@ -1,11 +1,11 @@
 """Covers, entropy bounds, codebooks, and transport for lifted Gaussian laws.
 
 Everything here works on finite sets of lifted paths sharing one dyadic grid.
-The LiftedSet container stores stacked prefix signatures and caches their
-increments over every dyadic pair, component-major, so pairwise_distance
-reduces two sets to a Hölder distance matrix with the batched norm kernel of
-paths, one memory-bounded block of rows and columns at a time, all blocks
-sharing one workspace.
+The LiftedSet container stores batch_prefix's component-major prefix
+signatures and caches their increments over every dyadic pair, so
+pairwise_distance reduces two sets to a Hölder distance matrix with the
+batched norm kernel of paths, one memory-bounded block of rows and columns at
+a time, all blocks sharing one workspace.
 
 Probability enters through small-ball curves: the monotone -log p transform
 and its inverse (isotonic regression, then linear interpolation in log-log
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
+from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant, batch_homogeneous_norm
 from .gaussian import (
     CovarianceModel,
     SamplerPlan,
@@ -31,9 +31,8 @@ from .gaussian import (
     sample_path_block,
 )
 from .paths import (GridRoughPath, _at_least, _check_holder_alpha, _check_same_grid,
-                    _chunk_bounds, _component_difference, _component_major, _component_norms,
-                    _dyadic_pairs, _gathered_increments, _positive, _power_of_two,
-                    batch_prefix)
+                    _check_uniform, _chunk_bounds, _dyadic_pairs, _positive,
+                    _power_of_two, batch_prefix, difference_increments, pair_increments)
 from .smallball import SBPCurve, _check_alpha
 
 
@@ -43,16 +42,21 @@ from .smallball import SBPCurve, _check_alpha
 
 
 class LiftedSet:
-    """A batch of step-2 lifts on a shared uniform dyadic grid."""
+    """A batch of step-2 lifts on a shared uniform dyadic grid from 0, stored
+    as batch_prefix's component-major prefixes B (d, m, N+1) and C (d, d, m, N+1)."""
 
     def __init__(self, times: np.ndarray, B: np.ndarray, C: np.ndarray):
         times = np.asarray(times, dtype=float)
         n_steps = times.size - 1
         _power_of_two(1, n_steps=n_steps)
+        _check_uniform(times)
+        if times[0] != 0.0:
+            # pairwise_distance scales level l by (times[-1] 2^-l)^alpha
+            raise ValueError("times: must start at 0")
         n_pts = n_steps + 1
-        if B.ndim != 3 or B.shape[1] != n_pts or C.shape != B.shape + B.shape[-1:]:
-            raise ValueError(f"prefix arrays must have shapes (m, {n_pts}, d) and "
-                             f"(m, {n_pts}, d, d) on a grid of {n_pts} points")
+        if B.ndim != 3 or B.shape[2] != n_pts or C.shape != B.shape[:1] + B.shape:
+            raise ValueError(f"prefix arrays must have shapes (d, m, {n_pts}) and "
+                             f"(d, d, m, {n_pts}) on a grid of {n_pts} points")
         self.times = times
         self.B = B
         self.C = C
@@ -64,8 +68,7 @@ class LiftedSet:
     @classmethod
     def from_values(cls, times, values: np.ndarray) -> "LiftedSet":
         """Lift piecewise-linear paths given as value arrays (m, N+1, d)."""
-        B, C = batch_prefix(values)
-        return cls(np.asarray(times, dtype=float), B, C)
+        return cls(times, *batch_prefix(values))
 
     @classmethod
     def from_paths(cls, paths) -> "LiftedSet":
@@ -74,8 +77,8 @@ class LiftedSet:
             raise ValueError("need at least one path")
         for p in paths[1:]:
             _check_same_grid(paths[0], p)
-        B = np.stack([p.prefix_level1 for p in paths])
-        C = np.stack([p.prefix_level2 for p in paths])
+        B = np.stack([p.prefix_level1.T for p in paths], axis=1)
+        C = np.stack([p.prefix_level2.transpose(1, 2, 0) for p in paths], axis=2)
         return cls(paths[0].times, B, C)
 
     @classmethod
@@ -90,31 +93,30 @@ class LiftedSet:
 
     @property
     def size(self) -> int:
-        return self.B.shape[0]
+        return self.B.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.B.shape[2]
+        return self.B.shape[0]
 
     def path(self, i: int) -> GridRoughPath:
-        return GridRoughPath(self.times, self.B[i], self.C[i])
+        return GridRoughPath(self.times, self.B[:, i].T, self.C[:, :, i].transpose(2, 0, 1))
 
     def subset(self, indices) -> "LiftedSet":
         indices = np.asarray(indices, dtype=np.intp)
-        return LiftedSet(self.times, self.B[indices], self.C[indices])
+        return LiftedSet(self.times, self.B[:, indices], self.C[:, :, indices])
 
     def endpoints(self) -> np.ndarray:
         """Level-1 endpoints (m, d); for constant-increment embeddings these
         are the embedded points."""
-        return self.B[:, -1, :]
+        return self.B[..., -1].T
 
     def dyadic_increments(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached group increments over every dyadic pair, component-major:
         level 1 (d, m, 2N-1) and level 2 (d, d, m, 2N-1), pairs in the order
         of paths._dyadic_pairs."""
         if self._dyadic is None:
-            self._dyadic = _gathered_increments(*_component_major(self.B, self.C),
-                                                *_dyadic_pairs(self.n_steps)[:2])
+            self._dyadic = pair_increments(self.B, self.C, *_dyadic_pairs(self.n_steps)[:2])
         return self._dyadic
 
 
@@ -160,9 +162,9 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     work = {}
     for clo, chi in cols:
         for rlo, rhi in rows:
-            b, c = _component_difference(bx[:, rlo:rhi, None], cx[:, :, rlo:rhi, None],
+            b, c = difference_increments(bx[:, rlo:rhi, None], cx[:, :, rlo:rhi, None],
                                          by[:, None, clo:chi], cy[:, :, None, clo:chi], work)
-            norms = _component_norms(b, c, v, work)[0]
+            norms = batch_homogeneous_norm(b, c, v, work)
             # max(x) / s == max(x / s): correctly rounded division by s > 0 is monotone
             np.max(np.divide(norms, pair_scale, out=norms), axis=-1, out=out[rlo:rhi, clo:chi])
     return out
@@ -512,8 +514,9 @@ def _geometric_mean_centers(samples: LiftedSet, assign: np.ndarray, n: int) -> L
         if np.count_nonzero(members) == 1:
             centers.append(samples.path(int(np.argmax(members))))
             continue
-        b, c = GridRoughPath(samples.times, samples.B[members].mean(axis=0),
-                             samples.C[members].mean(axis=0)).step_arrays()
+        b, c = GridRoughPath(samples.times, samples.B[:, members].mean(axis=1).T,
+                             samples.C[:, :, members].mean(axis=2).transpose(2, 0, 1)
+                             ).step_arrays()
         anti = 0.5 * (c - np.swapaxes(c, -1, -2))
         c = 0.5 * b[:, :, None] * b[:, None, :] + anti
         centers.append(GridRoughPath.from_steps(samples.times, (b, c)))
@@ -961,16 +964,13 @@ def empirical_rate_experiment(model: CovarianceModel, alpha: float, r: float,
 
     by_n = {}
     for n in n_list:
-        vals_w = [row["W_weighted"] for row in rows if row["n"] == n]
-        vals_u = [row["W_uniform"] for row in rows if row["n"] == n]
-        by_n[n] = {
-            "W_weighted_mean": float(np.mean(vals_w)),
-            "W_weighted_se": float(np.std(vals_w, ddof=1) / np.sqrt(len(vals_w)))
-            if len(vals_w) > 1 else 0.0,
-            "W_uniform_mean": float(np.mean(vals_u)),
-            "W_uniform_se": float(np.std(vals_u, ddof=1) / np.sqrt(len(vals_u)))
-            if len(vals_u) > 1 else 0.0,
-        }
+        by_n[n] = {}
+        for kind in ("weighted", "uniform"):
+            vals = [row[f"W_{kind}"] for row in rows if row["n"] == n]
+            # one rep gives no standard error, not an exact mean
+            by_n[n][f"W_{kind}_mean"] = float(np.mean(vals))
+            by_n[n][f"W_{kind}_se"] = (float(np.std(vals, ddof=1) / np.sqrt(reps))
+                                      if reps > 1 else None)
     ns = np.array([n for n in n_list if n > 1], dtype=float)
     means = np.array([by_n[int(n)]["W_weighted_mean"] for n in ns])
     slope = float(np.polyfit(np.log(np.log(ns)), np.log(means), 1)[0]) if ns.size >= 3 else None

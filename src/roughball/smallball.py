@@ -19,22 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant
+from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant, batch_homogeneous_norm
 from .gaussian import CovarianceModel, SamplerPlan, map_sample_blocks
 from .paths import (
     _at_least,
     _check_holder_alpha,
     _chunk_bounds,
-    _component_norms,
-    _component_prefix,
     _dyadic_pairs,
-    _gathered_increments,
     _lemma_depths,
     _lemma_terms,
     _positive,
     _power_of_two,
     all_pair_indices,
+    batch_prefix,
     dyadic_level_maxima,
+    pair_increments,
 )
 
 NORM_KINDS = (
@@ -233,15 +232,6 @@ def curve_from_norms(norms, eps_list, alpha: float, norm_kind: str, model: str,
     )
 
 
-def synthetic_curve(eps_list, p_values, alpha: float = 0.0, norm_kind: str = "path_holder",
-                    model: str = "synthetic", seed: int = 0, n_samples: int = 0) -> SBPCurve:
-    """Wrap an exact probability function as a curve (for fits and oracles)."""
-    eps = np.asarray(eps_list, dtype=float)
-    p = np.asarray(p_values, dtype=float)
-    ci = np.stack([p, p], axis=1)
-    return SBPCurve(alpha, norm_kind, eps, p, ci[:, 0], ci[:, 1], n_samples, model, seed)
-
-
 # ---------------------------------------------------------------------------
 # Norm sampling
 # ---------------------------------------------------------------------------
@@ -338,8 +328,8 @@ def _sample_pair_norms(model: CovarianceModel, n_samples: int, master_seed: int,
 
     def block_norms(values):
         return np.concatenate([
-            reduce(_component_norms(*_gathered_increments(
-                *_component_prefix(values[lo:hi]), i_idx, j_idx), v)[0])
+            reduce(batch_homogeneous_norm(*pair_increments(
+                *batch_prefix(values[lo:hi]), i_idx, j_idx), v))
             for lo, hi in _chunk_bounds(len(values), floats)])
 
     return np.concatenate([np.empty(0), *map_sample_blocks(

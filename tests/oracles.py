@@ -10,11 +10,14 @@ incomplete-gamma shortcuts.  Slow is fine here; the enumeration and the
 quadratures only run on tiny instances.
 
 The other references pin the vectorised routes bit for bit: the
-per-sample, per-component loop of the exact samplers, and the sample-major
-routes (gathered pair increments, then batched homogeneous norms) to dyadic
-norm maxima, to all-pairs norms, level by level to dyadic distance matrices
-between lifted sets, to the single-path Hoelder distance and geometric
-defect, and level by level, path by path to the dyadic discretisation bound.
+per-sample, per-component loop of the exact samplers, and sample-major
+copies of the kernel (gathered pair increments, group differences and
+homogeneous norms on (..., d) and (..., d, d) stacks, written here and not
+imported) applied to dyadic norm maxima, to all-pairs norms, level by level
+to dyadic distance matrices between lifted sets, to the single-path Hoelder
+distance and geometric defect, and level by level, path by path to the
+dyadic discretisation bound.  They add the d level-1 and the d*d level-2
+norm terms in index order, as the kernel does.
 The reproducing-kernel norm references factor one Gram matrix per drift path
 and seed one generator per mesh path, as the routes before them did.  The
 Lloyd references spell out one mean-mode iteration, and the mean mode with
@@ -30,6 +33,16 @@ from itertools import combinations
 import numpy as np
 from scipy import integrate, sparse
 from scipy.optimize import linprog
+
+
+def synthetic_curve(eps_list, p_values):
+    """An exact probability function wrapped as a small-ball curve whose
+    confidence interval is the value itself."""
+    from roughball.smallball import SBPCurve
+
+    eps = np.asarray(eps_list, dtype=float)
+    p = np.asarray(p_values, dtype=float)
+    return SBPCurve(0.0, "path_holder", eps, p, p, p, 0, "synthetic", 0)
 
 
 def brute_force_transport(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -268,16 +281,49 @@ def prefix_sample_major(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B, C
 
 
+def pair_increments_sample_major(B, C, i_idx, j_idx):
+    """Group increments (..., K, d) and (..., K, d, d) for index pairs, from
+    sample-major prefix arrays (..., N+1, d) and (..., N+1, d, d).  i_idx and
+    j_idx are index arrays of shape (K,) or stride slices of K grid points."""
+    Bi = B[..., i_idx, :]
+    b = B[..., j_idx, :] - Bi
+    c = C[..., j_idx, :, :] - C[..., i_idx, :, :] - Bi[..., :, None] * b[..., None, :]
+    return b, c
+
+
+def difference_increments_sample_major(bx, cx, by, cy):
+    """Increments of the group difference x^{-1} * y, sample-major."""
+    b = by - bx
+    c = cy - cx - bx[..., :, None] * b[..., None, :]
+    return b, c
+
+
+def _fold_last(terms, variant):
+    """terms[..., 0] + terms[..., 1] + ... (sum variant) or their running
+    maximum (sup), in index order over the last axis."""
+    ufunc = np.add if variant == "sum" else np.maximum
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = ufunc(total, terms[..., k])
+    return total
+
+
+def homogeneous_norm_sample_major(level1, level2, variant):
+    """Homogeneous norms of stacked group elements (..., d) and (..., d, d):
+    the level-1 terms, then the level-2 terms, each folded in index order."""
+    a2 = level2 - 0.5 * level1[..., :, None] * level1[..., None, :]
+    l2 = np.sqrt(np.abs(a2)).reshape(a2.shape[:-2] + (a2.shape[-1] ** 2,))
+    parts = _fold_last(np.abs(level1), variant), _fold_last(l2, variant)
+    return np.add(*parts) if variant == "sum" else np.maximum(*parts)
+
+
 def dyadic_level_maxima_loop(values, variant, centre=None):
     """(rough, path, centred) per-level maxima, one dyadic level at a time.
 
-    Gathers each level's pair increments with index arrays and evaluates
-    batch_homogeneous_norm on the sample-major (S, K, d) and (S, K, d, d)
-    stacks, as the Monte-Carlo samplers did before the component-major kernel.
+    Gathers each level's pair increments with index arrays and takes the
+    norms of the sample-major (S, K, d) and (S, K, d, d) stacks, as the
+    Monte-Carlo samplers did before the component-major kernel.
     """
-    from roughball.algebra import batch_homogeneous_norm
-    from roughball.paths import difference_increments, pair_increments
-
     S, n_points, _ = values.shape
     n_steps = n_points - 1
     levels = n_steps.bit_length()
@@ -291,41 +337,38 @@ def dyadic_level_maxima_loop(values, variant, centre=None):
         stride = n_steps >> level
         i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
         j_idx = i_idx + stride
-        b, c = pair_increments(B, C, i_idx, j_idx)
-        rough[:, level] = batch_homogeneous_norm(b, c, variant).max(axis=1)
-        lvl1 = np.abs(b).sum(axis=-1) if variant == "sum" else np.abs(b).max(axis=-1)
-        path[:, level] = lvl1.max(axis=1)
+        b, c = pair_increments_sample_major(B, C, i_idx, j_idx)
+        rough[:, level] = homogeneous_norm_sample_major(b, c, variant).max(axis=1)
+        path[:, level] = _fold_last(np.abs(b), variant).max(axis=1)
         if centre is not None:
-            bh, ch = pair_increments(Bh, Ch, i_idx, j_idx)
-            bd, cd = difference_increments(b, c, bh, ch)
-            centred[:, level] = batch_homogeneous_norm(bd, cd, variant).max(axis=1)
+            bh, ch = pair_increments_sample_major(Bh, Ch, i_idx, j_idx)
+            bd, cd = difference_increments_sample_major(b, c, bh, ch)
+            centred[:, level] = homogeneous_norm_sample_major(bd, cd, variant).max(axis=1)
     return rough, path, centred
 
 
 def allpairs_norms_sample_major(values, times, alpha, variant):
     """All-pairs Hoelder norms of a block of paths from sample-major (S, K, d)
     and (S, K, d, d) stacks of every grid pair's increments."""
-    from roughball.algebra import batch_homogeneous_norm
-    from roughball.paths import pair_increments
-
     B, C = prefix_sample_major(values)
     i_idx, j_idx = np.triu_indices(len(times), k=1)
-    b, c = pair_increments(B, C, i_idx, j_idx)
+    b, c = pair_increments_sample_major(B, C, i_idx, j_idx)
     span = (times[j_idx] - times[i_idx]) ** alpha
-    return (batch_homogeneous_norm(b, c, variant) / span).max(axis=1)
+    return (homogeneous_norm_sample_major(b, c, variant) / span).max(axis=1)
+
+
+def _sample_major(lifted):
+    """A lifted set's prefix arrays as sample-major views (m, N+1, d) and (m, N+1, d, d)."""
+    return np.moveaxis(lifted.B, 0, -1), np.moveaxis(lifted.C, (0, 1), (-2, -1))
 
 
 def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
     """Dyadic Hoelder distance matrix between two lifted sets, level by level.
 
     Per level, broadcasts the pair increments of x against a chunk of y's
-    columns into sample-major (m1, q, K, d, d) stacks and takes
-    batch_homogeneous_norm, as quantize.pairwise_distance did before the
-    component-major kernel.
+    columns into sample-major (m1, q, K, d, d) stacks and takes their norms,
+    as quantize.pairwise_distance did before the component-major kernel.
     """
-    from roughball.algebra import batch_homogeneous_norm
-    from roughball.paths import pair_increments
-
     m1, m2, d = x.size, y.size, x.dim
     n_steps = x.n_steps
     out = np.zeros((m1, m2))
@@ -333,8 +376,8 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
     for level in range(n_steps.bit_length()):
         stride = n_steps >> level
         i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
-        bx, cx = pair_increments(x.B, x.C, i_idx, i_idx + stride)
-        by, cy = pair_increments(y.B, y.C, i_idx, i_idx + stride)
+        bx, cx = pair_increments_sample_major(*_sample_major(x), i_idx, i_idx + stride)
+        by, cy = pair_increments_sample_major(*_sample_major(y), i_idx, i_idx + stride)
         k = bx.shape[1]
         scale = (horizon * 0.5**level) ** alpha
         q = max(1, int(chunk_floats / max(1, m1 * k * d * d)))
@@ -343,7 +386,7 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
             b = by[None, start:stop] - bx[:, None]
             c = (cy[None, start:stop] - cx[:, None]
                  - bx[:, None, :, :, None] * b[..., None, :])
-            lvl = batch_homogeneous_norm(b, c, variant).max(axis=-1) / scale
+            lvl = homogeneous_norm_sample_major(b, c, variant).max(axis=-1) / scale
             np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
     return out
 
@@ -380,8 +423,8 @@ def _prefix_mean_centres(samples, assign, n):
     centers = []
     for k in range(n):
         members = assign == k
-        b, c = GridRoughPath(samples.times, samples.B[members].mean(axis=0),
-                             samples.C[members].mean(axis=0)).step_arrays()
+        B, C = (prefix[members].mean(axis=0) for prefix in _sample_major(samples))
+        b, c = GridRoughPath(samples.times, B, C).step_arrays()
         anti = 0.5 * (c - np.swapaxes(c, -1, -2))
         c = 0.5 * b[:, :, None] * b[:, None, :] + anti
         centers.append(GridRoughPath.from_steps(samples.times, (b, c)))
@@ -443,47 +486,41 @@ def dyadic_pair_indices_loop(n_steps):
 def holder_distance_sample_major(x, y, alpha, pair_set="all", variant="sum"):
     """Hoelder distance between two grid rough paths from sample-major (K, d)
     and (K, d, d) stacks of every pair's increments and their group difference."""
-    from roughball.algebra import batch_homogeneous_norm
-    from roughball.paths import difference_increments, pair_increments
-
     n_points = len(x.times)
     if pair_set == "all":
         i_idx, j_idx = np.triu_indices(n_points, k=1)
     else:
         i_idx, j_idx = dyadic_pair_indices_loop(n_points - 1)
-    bx, cx = pair_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
-    by, cy = pair_increments(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
-    norms = batch_homogeneous_norm(*difference_increments(bx, cx, by, cy), variant)
+    bx, cx = pair_increments_sample_major(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
+    by, cy = pair_increments_sample_major(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
+    norms = homogeneous_norm_sample_major(
+        *difference_increments_sample_major(bx, cx, by, cy), variant)
     return float((norms / (x.times[j_idx] - x.times[i_idx]) ** alpha).max())
 
 
 def geometric_defect_sample_major(x):
     """Largest sup-norm gap between Sym(level 2) and half the squared level 1
     over every grid pair, from sample-major increments."""
-    from roughball.paths import pair_increments
-
     i_idx, j_idx = np.triu_indices(len(x.times), k=1)
-    b, c = pair_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
+    b, c = pair_increments_sample_major(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
     gap = 0.5 * (c + np.swapaxes(c, -1, -2)) - 0.5 * b[..., :, None] * b[..., None, :]
     return float(np.abs(gap).max())
 
 
 def dyadic_holder_bound_loop(B, C, times, alpha, eps, variant="sum"):
     """(value, coarse, fine) of the dyadic Hoelder majorant of one path with
-    prefix arrays (N+1, d) and (N+1, d, d): level norms from stride slices and
-    batch_homogeneous_norm, then the coarse and windowed fine terms level by
-    level, as paths.dyadic_holder_bound did before the component-major kernel."""
-    from roughball.algebra import batch_homogeneous_norm
-    from roughball.paths import pair_increments
-
+    prefix arrays (N+1, d) and (N+1, d, d): level norms from stride slices,
+    then the coarse and windowed fine terms level by level, as
+    paths.dyadic_holder_bound did before the component-major kernel."""
     n_steps = len(times) - 1
     L = n_steps.bit_length() - 1
     e = int(round(np.log2((times[-1] - times[0]) / eps)))
     level_norms = []
     for level in range(L + 1):
         stride = n_steps >> level
-        b, c = pair_increments(B, C, slice(0, n_steps, stride), slice(stride, None, stride))
-        level_norms.append(batch_homogeneous_norm(b, c, variant))
+        b, c = pair_increments_sample_major(B, C, slice(0, n_steps, stride),
+                                            slice(stride, None, stride))
+        level_norms.append(homogeneous_norm_sample_major(b, c, variant))
     level_sups = np.array([ln.max() for ln in level_norms])
     coarse = 2.0 * level_sups[1:].sum() / eps**alpha
     fine = 0.0

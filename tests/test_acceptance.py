@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import golden
-from oracles import brute_force_transport, gaussian_ball_probability, lloyd_fixed_point_1d
+from oracles import (brute_force_transport, gaussian_ball_probability, lloyd_fixed_point_1d,
+                     synthetic_curve)
 from roughball import (
     CMPath,
     chen_defect,
@@ -55,7 +56,6 @@ from roughball.smallball import (
     predicted_sbp_index,
     rd_gaussian_small_ball,
     sample_dyadic_level_maxima,
-    synthetic_curve,
 )
 
 pytestmark = pytest.mark.acceptance

@@ -116,9 +116,10 @@ def test_batch_norm_matches_scalar(rng, variant):
     d = 3
     m = 40
     elems = [random_g2(rng, d) for _ in range(m)]
-    level1 = np.stack([x.level1 for x in elems])
-    level2 = np.stack([x.level2 for x in elems])
+    level1 = np.stack([x.level1 for x in elems], axis=-1)  # component-major (d, m)
+    level2 = np.stack([x.level2 for x in elems], axis=-1)  # (d, d, m)
     batch = batch_homogeneous_norm(level1, level2, variant=variant)
+    assert batch.shape == (m,)
     single = np.array([homogeneous_norm(x, variant=variant) for x in elems])
     assert np.abs(batch - single).max() <= 1e-14
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import golden
 from oracles import (brute_force_transport, highs_transport, lloyd_mean_one_iteration,
-                     lloyd_mean_polished, pairwise_distance_loop)
+                     lloyd_mean_polished, pairwise_distance_loop, synthetic_curve)
 from roughball import (
     CMPath,
     DiscreteMeasure,
@@ -38,7 +38,6 @@ from roughball import paths, quantize
 from roughball.algebra import G2Element
 from roughball.config import parse_config
 from roughball.runner import _subseed, run
-from roughball.smallball import synthetic_curve
 
 
 def _bench_config(stage, seed):
@@ -121,7 +120,8 @@ def test_pairwise_matches_level_loop(variant, dim):
 def test_pairwise_matches_level_loop_in_any_blocking(seed, rows, cols, dim, log2_steps,
                                                      variant, chunk_floats):
     # chunk budgets below one row of cells split the rows as well as the columns;
-    # at d = 8 both component sums take numpy's pairwise order
+    # at d = 8 both component sums have 8 or more terms, which np.sum would add
+    # pairwise: kernel and oracle both fold them in index order
     xs = _random_set(seed, rows, dim, 2**log2_steps)
     ys = _random_set(seed + 1, cols, dim, 2**log2_steps)
     want = pairwise_distance_loop(xs, ys, 0.4, variant)
@@ -150,7 +150,9 @@ def test_lifted_set_from_paths_roundtrip(rng):
     assert np.array_equal(rebuilt.B, xs.B)
     assert np.array_equal(rebuilt.C, xs.C)
     sub = xs.subset([2, 0])
-    assert np.array_equal(sub.B[0], xs.B[2])
+    assert np.array_equal(sub.B[:, 0], xs.B[:, 2]) and np.array_equal(sub.C[:, :, 1], xs.C[:, :, 0])
+    assert np.array_equal(xs.path(3).prefix_level2, np.moveaxis(xs.C[:, :, 3], -1, 0))
+    assert np.array_equal(xs.endpoints(), xs.B[:, :, -1].T)
     assert sub.size == 2
 
 
@@ -166,11 +168,27 @@ def test_lifted_set_checks_prefix_shapes_against_grid():
     with pytest.raises(ValueError, match="grid of 5 points"):
         LiftedSet(np.linspace(0.0, 1.0, 5), good.B, good.C)  # 9-point prefixes
     with pytest.raises(ValueError, match="prefix arrays"):
-        LiftedSet(good.times, good.B, good.C[..., :1])  # level 2 not (m, N+1, d, d)
+        LiftedSet(good.times, good.B, good.C[..., :1])  # level 2 not (d, d, m, N+1)
     with pytest.raises(ValueError, match="prefix arrays"):
-        LiftedSet(good.times, good.B, good.C[:2])  # one level-2 prefix short
+        LiftedSet(good.times, good.B, good.C[:, :, :2])  # one level-2 prefix short
     with pytest.raises(ValueError, match="prefix arrays"):
         LiftedSet(good.times, good.B[0], good.C[0])
+
+
+@pytest.mark.parametrize("times, message", [([0.0, 0.1, 1.0], "must be a uniform grid"),
+                                            ([0.5, 1.0, 1.5], "must start at 0")])
+def test_lifted_set_needs_a_uniform_grid_from_zero(times, message):
+    # pairwise_distance scales level l by (times[-1] 2^-l)^alpha: on these grids
+    # it disagreed with holder_distance(..., pair_set="dyadic")
+    values = np.random.default_rng(3).standard_normal((2, 3, 1))
+    lifts = [lift_piecewise_linear(CMPath(times, v)) for v in values]
+    for make in (lambda: LiftedSet.from_values(times, values),
+                 lambda: LiftedSet.from_paths(lifts)):
+        with pytest.raises(ValueError, match=f"^times: {message}$"):
+            make()
+    for degenerate in ([0.0, 0.0, 0.0], [0.0, -0.5, -1.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="^times: must be a uniform grid$"):
+            LiftedSet.from_values(degenerate, values)
 
 
 def test_pairwise_rejects_dimension_mismatch():
@@ -310,7 +328,7 @@ def test_lloyd_exact_fit_when_codebook_covers_samples():
     cb = lloyd_codebook(samples, 5, seed=1)
     assert cb.distortion == 0.0
     # the mean of a one-member cluster is that member, bit for bit
-    assert np.array_equal(np.sort(cb.centers.B, axis=0), np.sort(samples.B, axis=0))
+    assert np.array_equal(np.sort(cb.centers.B, axis=1), np.sort(samples.B, axis=1))
 
 
 @pytest.mark.parametrize("mode", ["medoid", "mean"])
@@ -350,7 +368,7 @@ def test_lloyd_means_quantize_fresh_paths_better_than_the_polished_codebooks(see
 def test_lloyd_static_gaussian_small_run():
     pts = np.random.default_rng(8).standard_normal((200000, 1))
     cb = lloyd_codebook(embed_constant_increment(pts), 2, seed=2, tol=1e-8)
-    codepoints = np.sort(cb.centers.B[:, -1, 0])
+    codepoints = np.sort(cb.centers.endpoints()[:, 0])
     assert codepoints[1] == pytest.approx(np.sqrt(2 / np.pi), abs=2e-2)
     assert codepoints[0] == pytest.approx(-np.sqrt(2 / np.pi), abs=2e-2)
     assert cb.distortion**2 == pytest.approx(1 - 2 / np.pi, abs=2e-2)
@@ -613,6 +631,19 @@ def test_rate_experiment_schema_and_domination():
         assert cell["W_weighted_se"] > 0
     preds = [row["prediction"] for row in sorted(rows, key=lambda r: r["n"])]
     assert preds[0] >= preds[-1]
+
+
+def test_rate_experiment_writes_no_standard_error_from_one_rep(tmp_path):
+    # a mean over one rep has no standard error: null, where 0.0 claimed an exact mean
+    cfg = _bench_config("empirical", 11)
+    cfg["reps"] = 1
+    run(cfg, out_dir=str(tmp_path), threads=1)
+    with open(tmp_path / "summary.json", encoding="utf-8") as fh:
+        by_n = json.load(fh)["by_n"]
+    assert len(by_n) == len(cfg["n_list"])
+    for cell in by_n.values():
+        assert cell["W_weighted_se"] is None and cell["W_uniform_se"] is None
+        assert cell["W_weighted_mean"] > 0 and cell["W_uniform_mean"] > 0
 
 
 # config seeds of benchmark rounds with a cell whose weight-only bootstrap SE

@@ -11,6 +11,7 @@ from oracles import (
     dyadic_level_maxima_loop,
     gaussian_ball_probability,
     lemma_bound_norms_per_path,
+    synthetic_curve,
 )
 from roughball import (
     brownian_model,
@@ -35,7 +36,6 @@ from roughball.smallball import (
     curve_from_norms,
     sample_allpairs_norms,
     sample_lemma_bound_norms,
-    synthetic_curve,
 )
 
 

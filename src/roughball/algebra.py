@@ -10,8 +10,10 @@ coordinates: ``sum`` adds |level-1 coord| and sqrt|level-2 coord| over the
 tensor basis, ``sup`` takes the maximum of the same terms.  ``sum`` is the
 package-wide default (see DEFAULT_NORM_VARIANT); keep one variant per study so
 constants are comparable.  batch_homogeneous_norm is the norm step of the
-increment kernel in paths: it takes component-major stacks and adds its
-terms in index order.
+increment kernel in paths: it takes component-major stacks of log
+coordinates (b, A), with the antisymmetric level 2 A of a geometric element
+held as its d(d-1)/2 entries above the diagonal, and adds its terms in index
+order.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ def homogeneous_norm(x: G2Element, variant: str | None = None) -> float:
 def _scratch(work, name, shape):
     """An uninitialised float array from the caller's workspace dict: a view,
     cached per (name, shape), of one flat buffer per name that grows on
-    demand.  None without a workspace, so that out=None allocates."""
+    demand.  A fresh array without a workspace."""
     if work is None:
-        return None
+        return np.empty(shape)
     view = work.get((name, shape))
     if view is None:
         size = math.prod(shape)
@@ -183,37 +185,43 @@ def _scratch(work, name, shape):
     return view
 
 
-def batch_homogeneous_norm(level1, level2, variant: str | None = None,
+def batch_homogeneous_norm(level1, area, variant: str | None = None,
                            work=None) -> np.ndarray:
-    """Homogeneous norms of stacked group elements, component-major.
+    """Homogeneous norms of stacked geometric elements from their log
+    coordinates, component-major.
 
-    ``level1`` has shape (d, ...) and ``level2`` shape (d, d, ...), so every
-    operation runs over the long trailing axes; returns the norms, shape
-    (...).  The d level-1 terms and the d*d level-2 terms are each combined
-    in index order, then the two parts.  With a workspace dict (see
-    _scratch) the temporaries and the result live in its buffers.
+    ``level1`` has shape (d, ...) and ``area`` shape (d(d-1)/2, ...): the
+    antisymmetric log level 2, A_ij for i < j in np.triu_indices(d, 1)
+    order.  Returns the norms, shape (...): sum_i |b_i| + 2 sum_k sqrt|A_k|
+    (``sum``) or the largest of the same terms without the 2 (``sup``), each
+    part combined in index order; at d = 1 the level-1 part alone.  This is
+    homogeneous_norm on every geometric element (log level 2 antisymmetric),
+    with no square root of a rounding residue on the symmetric entries.
+    With a workspace dict (see _scratch) the temporaries and the result live
+    in its buffers, and for d >= 2 the level-1 part stays in buffer "level1".
     """
-    reduce = np.add if _resolve_variant(variant) == "sum" else np.maximum
+    sum_variant = _resolve_variant(variant) == "sum"
+    reduce = np.add if sum_variant else np.maximum
     b = np.asarray(level1, dtype=float)
-    c = np.asarray(level2, dtype=float)
-    half = np.multiply(0.5, b[:, None], out=_scratch(work, "d", b[:, None].shape))
-    l2 = np.multiply(half, b[None, :], out=_scratch(work, "dd", c.shape))
-    np.subtract(c, l2, out=l2)
-    np.abs(l2, out=l2)
-    np.sqrt(l2, out=l2)
-    l1 = np.abs(b, out=_scratch(work, "d", b.shape))  # half is spent: share its buffer
-    part1 = _fold(reduce, l1, work, "part1")
-    part2 = _fold(reduce, l2.reshape((len(b) ** 2,) + b.shape[1:]), work, "part2")
-    return reduce(part1, part2, out=_scratch(work, "norm", b.shape[1:]))
+    a = np.asarray(area, dtype=float)
+    norm = _fold(reduce, np.abs(b, out=_scratch(work, "abs1", b.shape)), work, "level1")
+    if len(a):
+        l2 = np.abs(a, out=_scratch(work, "abs2", a.shape))
+        part2 = _fold(reduce, np.sqrt(l2, out=l2), work, "area")
+        if sum_variant:
+            part2 *= 2.0
+        norm = reduce(norm, part2, out=part2)
+    return norm
 
 
 def _fold(ufunc, terms, work=None, name=None):
     """terms[0] combined with terms[1], terms[2], ... by ufunc, in index order.
     With a workspace dict the result goes into its buffer `name`."""
-    out = _scratch(work, name, terms.shape[1:]) if len(terms) > 1 else None
-    total = terms[0]
-    for term in terms[1:]:
-        total = ufunc(total, term, out=out)
+    if len(terms) == 1:
+        return terms[0]
+    total = ufunc(terms[0], terms[1], out=_scratch(work, name, terms.shape[1:]))
+    for term in terms[2:]:
+        ufunc(total, term, out=total)
     return total
 
 

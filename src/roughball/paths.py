@@ -8,25 +8,36 @@ so the group increment between any two grid indices i, j is the closed form
 
 which is Chen-consistent by construction.
 
-Every Hoelder norm runs through one kernel of four public functions:
-batch_prefix lifts a block of paths, pair_increments gathers a pair family's
-increments, difference_increments forms group differences and
-algebra.batch_homogeneous_norm takes the norms.  Its callers are
-dyadic_level_maxima (the small-ball sampler, the anderson, cameron_martin
-and rough Borell checks), the all-pairs and lemma-bound samplers of
-smallball, quantize.pairwise_distance and the object API (holder_distance,
-holder_norm, geometric_defect, dyadic_holder_bound).  The kernel stores lifts
-component-major, B as (d, S, N+1) and C as (d, d, S, N+1), so every ufunc
-runs over long contiguous rows; sample-major arrays (S, N+1, d) would make
-numpy run millions of inner loops of length d.  A single path's prefix
-arrays enter as component-major views.  A pair family, such as all 2N-1
-dyadic pairs, is taken along the grid axis in one gather, and one
-maximum.reduceat gives every dyadic level's maximum: about twenty numpy
-calls per chunk of paths, where a pass per level costs ten times as many
-short calls, which make two worker threads wait on each other.  Paths and
-pairs are walked in chunks from _chunk_bounds.  A distance matrix divides
-each pair's norm by its level's scale and takes one max instead: correctly
-rounded division by s > 0 is monotone, so max(x) / s == max(x / s) exactly.
+Every Hoelder norm is taken on log coordinates (b, A): the level-1
+increment b and the Levy area A, the antisymmetric log level 2 of a
+geometric element, kept as its d(d-1)/2 entries above the diagonal in
+np.triu_indices order.  algebra.batch_homogeneous_norm takes the norms and
+difference_increments forms the log coordinates of group differences,
+
+    x^{-1} y  ->  (by - bx, Ay - Ax - 1/2 bx ^ by),  (u ^ v)_ij = u_i v_j - u_j v_i,
+
+which negates exactly when x and y swap, so every distance is exactly
+symmetric.  Both work component-major, level 1 (d, ...) and area (P, ...),
+so every ufunc runs over long contiguous rows.
+
+The dyadic norms (dyadic_level_maxima: the small-ball sampler, the
+anderson, cameron_martin and rough Borell checks) build no prefix and
+gather nothing.  Their leaves are the grid steps (delta, 0), and each
+dyadic level follows from the one below it by Chen's identity,
+
+    b = b1 + b2,   A = A1 + A2 + 1/2 b1 ^ b2,
+
+one pass over the adjacent pairs of each level, finest first, into one
+array of all 2N-1 pairs; one norm call and one maximum.reduceat per chunk
+of paths give every level's maxima.  The gathered
+routes (the all-pairs and lemma-bound samplers of smallball,
+quantize.pairwise_distance and the object API: holder_distance,
+holder_norm, dyadic_holder_bound) lift a block with batch_prefix, gather a
+pair family's increments with pair_increments, and take A = 1/2 (c - c^T)
+above the diagonal of each gathered level 2 c.  Paths and pairs are walked in
+chunks from _chunk_bounds.  A distance matrix divides each pair's norm by
+its level's scale and takes one max instead: correctly rounded division by
+s > 0 is monotone, so max(x) / s == max(x / s) exactly.
 
 This module does no file I/O.  GridRoughPath.to_dict/from_dict give the JSON
 form that the runner writes into codebook artifacts.
@@ -38,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Element, _fold, _resolve_variant, _scratch, batch_homogeneous_norm
+from .algebra import G2Element, _resolve_variant, _scratch, batch_homogeneous_norm
 
 
 # Argument rules shared by the library's entry points and by config; like
@@ -295,14 +306,35 @@ def pair_increments(B, C, i_idx, j_idx) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def difference_increments(bx, cx, by, cy, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Increments of the group difference x^{-1} * y from per-pair increments,
-    component-major: level 1 (d, ...) and level 2 (d, d, ...).  With a
-    workspace dict (see algebra._scratch) the results live in its buffers."""
+def _area(c):
+    """Log areas (P, ...) of geometric elements from their level 2 c (d, d, ...):
+    1/2 (c_ij - c_ji) for i < j, in np.triu_indices(d, 1) order."""
+    i, j = np.triu_indices(len(c), 1)
+    return 0.5 * (c[i, j] - c[j, i])
+
+
+def _half_wedge(u, v, work=None):
+    """1/2 (u ^ v) (P, ...) of level-1 stacks u and v (d, ...), broadcast;
+    (u ^ v)_ij = u_i v_j - u_j v_i for i < j."""
+    pairs = list(zip(*np.triu_indices(len(u), 1)))
+    w = _scratch(work, "wedge", (len(pairs),) + np.broadcast(u[0], v[0]).shape)
+    for k, (i, j) in enumerate(pairs):
+        np.subtract(np.multiply(u[i], v[j], out=w[k]), u[j] * v[i], out=w[k])
+    w *= 0.5
+    return w
+
+
+def difference_increments(bx, ax, by, ay, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Log coordinates of the group differences x^{-1} * y from those of x
+    and y, component-major: level 1 (d, ...) and area (P, ...), broadcast.
+    Returns (by - bx, ay - ax - 1/2 bx ^ by), which swapping x and y negates
+    exactly.  With a workspace dict (see algebra._scratch) the results live
+    in its buffers."""
     b = np.subtract(by, bx, out=_scratch(work, "b", np.broadcast(by, bx).shape))
-    c = np.subtract(cy, cx, out=_scratch(work, "c", np.broadcast(cy, cx).shape))
-    np.subtract(c, np.multiply(bx[:, None], b[None, :], out=_scratch(work, "dd", c.shape)), out=c)
-    return b, c
+    a = np.subtract(ay, ax, out=_scratch(work, "a", np.broadcast(ay, ax).shape))
+    if len(a):
+        a -= _half_wedge(bx, by, work)
+    return b, a
 
 
 def _dyadic_pairs(n_steps: int):
@@ -325,13 +357,13 @@ def _component_major(B, C):
 
 
 # The kernel walks its items (paths, one path's grid pairs, or the columns, then
-# the rows of a distance matrix) in equal chunks whose increments b and c hold
-# about _KERNEL_CHUNK_FLOATS floats, 512 KB: about 11 paths at N=512, d=2, 64
-# at N=256, d=1 for dyadic_level_maxima, 258 rows of one column for a d=1, N=64
-# distance matrix (its workspace is 2.5x larger).  Chunks four times larger ran
-# 1.2x (d=2) to 2x (d=1) slower on one thread, as their temporaries fall out
-# of a 2 MB L2 cache and are handed back to the OS and re-faulted on every
-# call; chunks four times smaller paid about 1.3x in per-call overhead.
+# the rows of a distance matrix) in equal chunks whose increments hold about
+# _KERNEL_CHUNK_FLOATS floats, 512 KB: the dyadic trees of about 21 paths at
+# N=512, d=2 or 128 at N=256, d=1, and 516 rows of one column for a d=1, N=64
+# distance matrix (its workspace is 2x larger).  Chunks four times larger ran
+# 1.2x (d=2) to 2x (d=1) slower on one thread, as their temporaries fall out of
+# a 2 MB L2 cache and are handed back to the OS and re-faulted on every call;
+# chunks four times smaller paid about 1.3x in per-call overhead.
 _KERNEL_CHUNK_FLOATS = 2**16
 
 
@@ -342,6 +374,31 @@ def _chunk_bounds(n_items: int, floats_per_item: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _dyadic_tree(values, work=None):
+    """Log coordinates of every dyadic increment of paths (S, N+1, d),
+    component-major, level 1 (d, S, 2N-1) and area (P, S, 2N-1), pairs in
+    _dyadic_pairs' order.  The finest level holds the steps, with zero area;
+    each coarser level combines adjacent pairs (b1, A1), (b2, A2) of the one
+    below by Chen's identity: b1 + b2 and (A1 + A2) + 1/2 b1 ^ b2."""
+    vt = values.transpose(2, 0, 1)
+    d, S, n_points = vt.shape
+    n_steps = n_points - 1
+    b = _scratch(work, "tree_b", (d, S, 2 * n_steps - 1))
+    a = _scratch(work, "tree_a", (d * (d - 1) // 2, S, 2 * n_steps - 1))
+    np.subtract(vt[..., 1:], vt[..., :-1], out=b[..., n_steps - 1:])
+    a[..., n_steps - 1:] = 0.0
+    k = n_steps  # the level below has k pairs, from position k - 1
+    while k > 1:
+        b1, b2 = b[..., k - 1:2 * k - 1:2], b[..., k:2 * k - 1:2]
+        coarse = slice(k // 2 - 1, k - 1)
+        np.add(b1, b2, out=b[..., coarse])
+        np.add(a[..., k - 1:2 * k - 1:2], a[..., k:2 * k - 1:2], out=a[..., coarse])
+        if len(a):
+            a[..., coarse] += _half_wedge(b1, b2, work)
+        k //= 2
+    return b, a
+
+
 def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
                         centre: np.ndarray | None = None):
     """Per-level maxima of dyadic increment norms for a block of lifted paths.
@@ -349,38 +406,46 @@ def dyadic_level_maxima(values: np.ndarray, variant: str | None = None,
     values has shape (S, N+1, d) with N = 2^L; level l covers the pairs
     (m N 2^-l, (m+1) N 2^-l).  Returns (rough, path, centred), each (S, L+1)
     except centred: the largest homogeneous norm of a level-l increment of
-    each path's lift, the largest norm of its level-1 part, and, when a
-    centre path (N+1, d) is given, the largest norm of the level-l increments
-    of the group difference from the path's lift to the centre's lift
-    (None without a centre).  The level-1 norm adds (sum variant) or takes
-    the largest of (sup) the terms |b_i| in index order, as the homogeneous
-    norm does.
+    each path's lift, the largest norm of its level-1 part (the terms |b_i|
+    added, or the largest for sup, in index order as in the homogeneous
+    norm; at d = 1 the same array as rough), and, when a centre path
+    (N+1, d) is given, the largest norm of the level-l increments of the
+    group difference from the path's lift to the centre's lift (None
+    without a centre).
+
+    The increments come from a dyadic tree on log coordinates
+    (_dyadic_tree), built from the steps up by Chen's identity; the centre's
+    tree is built once.
     """
     v = _resolve_variant(variant)
-    level1 = np.add if v == "sum" else np.maximum
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError("values must have shape (S, N+1, d)")
-    n_steps = values.shape[1] - 1
+    S, n_points, d = values.shape
+    n_steps = n_points - 1
     _power_of_two(1, n_steps=n_steps)
-    S, _, d = values.shape
-    i_idx, j_idx, starts = _dyadic_pairs(n_steps)
+    starts = _dyadic_pairs(n_steps)[2]
     rough = np.empty((S, len(starts)))
-    path = np.empty_like(rough)
+    path = rough if d == 1 else np.empty_like(rough)
     centred = None
     if centre is not None:
         centre = np.asarray(centre, dtype=float)
         if centre.shape != values.shape[1:]:
             raise ValueError(f"centre must have shape {values.shape[1:]}, got {centre.shape}")
-        bh, ch = pair_increments(*batch_prefix(centre[None]), i_idx, j_idx)
+        centre_tree = _dyadic_tree(centre[None])
         centred = np.empty_like(rough)
-    for lo, hi in _chunk_bounds(S, len(i_idx) * (d + d * d)):
-        b, c = pair_increments(*batch_prefix(values[lo:hi]), i_idx, j_idx)
-        np.maximum.reduceat(batch_homogeneous_norm(b, c, v), starts, axis=-1, out=rough[lo:hi])
-        np.maximum.reduceat(_fold(level1, np.abs(b)), starts, axis=-1, out=path[lo:hi])
+    work = {}
+    for lo, hi in _chunk_bounds(S, (2 * n_steps - 1) * (d + d * (d - 1) // 2)):
+        tree = _dyadic_tree(values[lo:hi], work)
+        norms = batch_homogeneous_norm(*tree, v, work)
+        np.maximum.reduceat(norms, starts, axis=-1, out=rough[lo:hi])
+        if d > 1:  # the level-1 part of the norms just taken
+            np.maximum.reduceat(_scratch(work, "level1", norms.shape), starts, axis=-1,
+                                out=path[lo:hi])
         if centre is not None:
-            np.maximum.reduceat(batch_homogeneous_norm(*difference_increments(b, c, bh, ch), v),
-                                starts, axis=-1, out=centred[lo:hi])
+            diff = difference_increments(*tree, *centre_tree, work)
+            np.maximum.reduceat(batch_homogeneous_norm(*diff, v, work), starts, axis=-1,
+                                out=centred[lo:hi])
     return rough, path, centred
 
 
@@ -472,9 +537,10 @@ def holder_distance(
     worst = 0.0
     for lo, hi in _chunk_bounds(len(i_all), x.dim + x.dim**2):
         i_idx, j_idx = i_all[lo:hi], j_all[lo:hi]
-        b, c = difference_increments(*pair_increments(Bx, Cx, i_idx, j_idx),
-                                     *pair_increments(By, Cy, i_idx, j_idx))
-        worst = max(worst, float((batch_homogeneous_norm(b, c, v) / weights[lo:hi]).max()))
+        bx, cx = pair_increments(Bx, Cx, i_idx, j_idx)
+        by, cy = pair_increments(By, Cy, i_idx, j_idx)
+        norms = batch_homogeneous_norm(*difference_increments(bx, _area(cx), by, _area(cy)), v)
+        worst = max(worst, float((norms / weights[lo:hi]).max()))
     return worst
 
 
@@ -573,7 +639,7 @@ def dyadic_holder_bound(
     L, e = _lemma_depths(x.times, alpha, eps)
     b, c = pair_increments(*_component_major(x.prefix_level1, x.prefix_level2),
                            *_dyadic_pairs(x.n_steps)[:2])
-    norms = batch_homogeneous_norm(b, c, variant)
+    norms = batch_homogeneous_norm(b, _area(c), variant)
     coarse, fine = (float(term[0]) for term in _lemma_terms(norms[None], alpha, eps, e))
     return DyadicBoundResult(
         value=max(coarse, fine),

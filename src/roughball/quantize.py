@@ -2,10 +2,11 @@
 
 Everything here works on finite sets of lifted paths sharing one dyadic grid.
 The LiftedSet container stores batch_prefix's component-major prefix
-signatures and caches their increments over every dyadic pair, so
-pairwise_distance reduces two sets to a Hölder distance matrix with the
-batched norm kernel of paths, one memory-bounded block of rows and columns at
-a time, all blocks sharing one workspace.
+signatures and caches the log coordinates (b, A) of their increments over
+every dyadic pair, so pairwise_distance reduces two sets to a Hölder
+distance matrix with the group differences and norms of paths' kernel, one
+memory-bounded block of rows and columns at a time, all blocks sharing one
+workspace.  Distance matrices are exactly symmetric, with a zero diagonal.
 
 Probability enters through small-ball curves: the monotone -log p transform
 and its inverse (isotonic regression, then linear interpolation in log-log
@@ -30,7 +31,7 @@ from .gaussian import (
     _index_streams,
     sample_path_block,
 )
-from .paths import (GridRoughPath, _at_least, _check_holder_alpha, _check_same_grid,
+from .paths import (GridRoughPath, _area, _at_least, _check_holder_alpha, _check_same_grid,
                     _check_uniform, _chunk_bounds, _dyadic_pairs, _positive,
                     _power_of_two, batch_prefix, difference_increments, pair_increments)
 from .smallball import SBPCurve, _check_alpha
@@ -112,11 +113,12 @@ class LiftedSet:
         return self.B[..., -1].T
 
     def dyadic_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached group increments over every dyadic pair, component-major:
-        level 1 (d, m, 2N-1) and level 2 (d, d, m, 2N-1), pairs in the order
-        of paths._dyadic_pairs."""
+        """Cached log coordinates of the increments over every dyadic pair,
+        component-major: level 1 (d, m, 2N-1) and area (d(d-1)/2, m, 2N-1),
+        pairs in the order of paths._dyadic_pairs."""
         if self._dyadic is None:
-            self._dyadic = pair_increments(self.B, self.C, *_dyadic_pairs(self.n_steps)[:2])
+            b, c = pair_increments(self.B, self.C, *_dyadic_pairs(self.n_steps)[:2])
+            self._dyadic = b, _area(c)
         return self._dyadic
 
 
@@ -147,14 +149,14 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     _check_same_grid(x, y)
     _check_holder_alpha(alpha)
     v = _resolve_variant(variant)
-    bx, cx = x.dyadic_increments()
-    by, cy = y.dyadic_increments()
+    bx, ax = x.dyadic_increments()
+    by, ay = y.dyadic_increments()
     starts = _dyadic_pairs(x.n_steps)[2]
     horizon = x.times[-1]
     scale = np.array([(horizon * 0.5**level) ** alpha for level in range(len(starts))])
     d, m1, k = bx.shape
     pair_scale = np.repeat(scale, np.diff(starts, append=k))
-    cell = k * (d + d * d)
+    cell = k * (d + len(ax))
     out = np.empty((m1, y.size))
     cols = _chunk_bounds(y.size, m1 * cell)
     # every block is at most as large as the first, so the workspace never grows
@@ -162,9 +164,9 @@ def pairwise_distance(x: LiftedSet, y: LiftedSet, alpha: float,
     work = {}
     for clo, chi in cols:
         for rlo, rhi in rows:
-            b, c = difference_increments(bx[:, rlo:rhi, None], cx[:, :, rlo:rhi, None],
-                                         by[:, None, clo:chi], cy[:, :, None, clo:chi], work)
-            norms = batch_homogeneous_norm(b, c, v, work)
+            diff = difference_increments(bx[:, rlo:rhi, None], ax[:, rlo:rhi, None],
+                                         by[:, None, clo:chi], ay[:, None, clo:chi], work)
+            norms = batch_homogeneous_norm(*diff, v, work)
             # max(x) / s == max(x / s): correctly rounded division by s > 0 is monotone
             np.max(np.divide(norms, pair_scale, out=norms), axis=-1, out=out[rlo:rhi, clo:chi])
     return out

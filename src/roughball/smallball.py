@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import DEFAULT_NORM_VARIANT, _resolve_variant, batch_homogeneous_norm
 from .gaussian import CovarianceModel, SamplerPlan, map_sample_blocks
 from .paths import (
+    _area,
     _at_least,
     _check_holder_alpha,
     _chunk_bounds,
@@ -326,11 +327,13 @@ def _sample_pair_norms(model: CovarianceModel, n_samples: int, master_seed: int,
     v = _resolve_variant(variant)
     floats = len(i_idx) * (model.dim + model.dim**2)
 
+    def chunk_norms(values):
+        b, c = pair_increments(*batch_prefix(values), i_idx, j_idx)
+        return reduce(batch_homogeneous_norm(b, _area(c), v))
+
     def block_norms(values):
-        return np.concatenate([
-            reduce(batch_homogeneous_norm(*pair_increments(
-                *batch_prefix(values[lo:hi]), i_idx, j_idx), v))
-            for lo, hi in _chunk_bounds(len(values), floats)])
+        return np.concatenate([chunk_norms(values[lo:hi])
+                               for lo, hi in _chunk_bounds(len(values), floats)])
 
     return np.concatenate([np.empty(0), *map_sample_blocks(
         SamplerPlan(model, times), master_seed, n_samples, block_norms)])

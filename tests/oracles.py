@@ -11,13 +11,16 @@ quadratures only run on tiny instances.
 
 The other references pin the vectorised routes bit for bit: the
 per-sample, per-component loop of the exact samplers, and sample-major
-copies of the kernel (gathered pair increments, group differences and
-homogeneous norms on (..., d) and (..., d, d) stacks, written here and not
-imported) applied to dyadic norm maxima, to all-pairs norms, level by level
-to dyadic distance matrices between lifted sets, to the single-path Hoelder
-distance and geometric defect, and level by level, path by path to the
-dyadic discretisation bound.  They add the d level-1 and the d*d level-2
-norm terms in index order, as the kernel does.
+copies of the kernel on log coordinates (gathered pair increments and their
+areas, group differences, Chen products of adjacent increments and
+homogeneous norms on (..., d) and (..., P) stacks, written here and not
+imported) applied level by level to the dyadic tree's norm maxima, to
+all-pairs norms, level by level to dyadic distance matrices between lifted
+sets, to the single-path Hoelder distance and geometric defect, and level by
+level, path by path to the dyadic discretisation bound.  They add the d
+level-1 and the P area terms in index order, as the kernel does.  The
+full-tensor kernel the tree replaced (prefixes, gathered pairs, square
+roots of all d*d level-2 entries) stays as a tolerance reference.
 The reproducing-kernel norm references factor one Gram matrix per drift path
 and seed one generator per mesh path, as the routes before them did.  The
 Lloyd references spell out one mean-mode iteration, and the mean mode with
@@ -291,11 +294,22 @@ def pair_increments_sample_major(B, C, i_idx, j_idx):
     return b, c
 
 
-def difference_increments_sample_major(bx, cx, by, cy):
-    """Increments of the group difference x^{-1} * y, sample-major."""
-    b = by - bx
-    c = cy - cx - bx[..., :, None] * b[..., None, :]
-    return b, c
+def area_sample_major(c):
+    """Log areas (..., P) of geometric elements from their level 2 (..., d, d):
+    1/2 (c_ij - c_ji) for i < j, in np.triu_indices(d, 1) order."""
+    i, j = np.triu_indices(c.shape[-1], 1)
+    return 0.5 * (c[..., i, j] - c[..., j, i])
+
+
+def half_wedge_sample_major(u, v):
+    """1/2 (u ^ v) (..., P) of level-1 stacks (..., d), broadcast."""
+    i, j = np.triu_indices(u.shape[-1], 1)
+    return 0.5 * (u[..., i] * v[..., j] - u[..., j] * v[..., i])
+
+
+def difference_increments_sample_major(bx, ax, by, ay):
+    """Log coordinates of the group difference x^{-1} * y, sample-major."""
+    return by - bx, (ay - ax) - half_wedge_sample_major(bx, by)
 
 
 def _fold_last(terms, variant):
@@ -308,22 +322,59 @@ def _fold_last(terms, variant):
     return total
 
 
-def homogeneous_norm_sample_major(level1, level2, variant):
-    """Homogeneous norms of stacked group elements (..., d) and (..., d, d):
-    the level-1 terms, then the level-2 terms, each folded in index order."""
+def homogeneous_norm_sample_major(level1, area, variant):
+    """Homogeneous norms of stacked geometric elements from their log
+    coordinates (..., d) and (..., P): the level-1 terms, then the doubled
+    (sum) area terms, each folded in index order."""
+    part1 = _fold_last(np.abs(level1), variant)
+    if area.shape[-1] == 0:
+        return part1
+    part2 = _fold_last(np.sqrt(np.abs(area)), variant)
+    return part1 + 2.0 * part2 if variant == "sum" else np.maximum(part1, part2)
+
+
+def chen_pairs_sample_major(b, a):
+    """Products of adjacent increments along axis 1 of (S, K, d) and (S, K, P)."""
+    b1, b2 = b[:, 0::2], b[:, 1::2]
+    return b1 + b2, (a[:, 0::2] + a[:, 1::2]) + half_wedge_sample_major(b1, b2)
+
+
+def dyadic_tree_loop(values, variant, centre=None):
+    """(rough, path, centred) per-level maxima from a sample-major dyadic tree,
+    one level at a time from the finest: the norms of the level's (S, K, d)
+    and (S, K, P) log coordinates, then Chen's identity on adjacent pairs."""
+    S, n_points, d = values.shape
+    levels = (n_points - 1).bit_length()
+    trees = [(np.diff(values, axis=1), np.zeros((S, n_points - 1, d * (d - 1) // 2)))]
+    if centre is not None:
+        trees.append((np.diff(centre[None], axis=1), np.zeros((1, n_points - 1, d * (d - 1) // 2))))
+    rough = np.empty((S, levels))
+    path = np.empty((S, levels))
+    centred = None if centre is None else np.empty((S, levels))
+    for level in range(levels - 1, -1, -1):
+        b, a = trees[0]
+        rough[:, level] = homogeneous_norm_sample_major(b, a, variant).max(axis=1)
+        path[:, level] = _fold_last(np.abs(b), variant).max(axis=1)
+        if centre is not None:
+            diff = difference_increments_sample_major(b, a, *trees[1])
+            centred[:, level] = homogeneous_norm_sample_major(*diff, variant).max(axis=1)
+        trees = [chen_pairs_sample_major(*tree) for tree in trees]
+    return rough, path, centred
+
+
+def full_tensor_norm_sample_major(level1, level2, variant):
+    """Homogeneous norms from the full level 2 (..., d, d): sqrt|c - 1/2 b b^T|
+    over all d*d entries, symmetric rounding residue included."""
     a2 = level2 - 0.5 * level1[..., :, None] * level1[..., None, :]
     l2 = np.sqrt(np.abs(a2)).reshape(a2.shape[:-2] + (a2.shape[-1] ** 2,))
     parts = _fold_last(np.abs(level1), variant), _fold_last(l2, variant)
     return np.add(*parts) if variant == "sum" else np.maximum(*parts)
 
 
-def dyadic_level_maxima_loop(values, variant, centre=None):
-    """(rough, path, centred) per-level maxima, one dyadic level at a time.
-
-    Gathers each level's pair increments with index arrays and takes the
-    norms of the sample-major (S, K, d) and (S, K, d, d) stacks, as the
-    Monte-Carlo samplers did before the component-major kernel.
-    """
+def dyadic_level_maxima_full_tensor(values, variant, centre=None):
+    """(rough, path, centred) per-level maxima from prefix signatures, one
+    dyadic level at a time, with norms over the full d x d level 2: the
+    kernel the dyadic tree replaced, a tolerance reference."""
     S, n_points, _ = values.shape
     n_steps = n_points - 1
     levels = n_steps.bit_length()
@@ -338,23 +389,30 @@ def dyadic_level_maxima_loop(values, variant, centre=None):
         i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
         j_idx = i_idx + stride
         b, c = pair_increments_sample_major(B, C, i_idx, j_idx)
-        rough[:, level] = homogeneous_norm_sample_major(b, c, variant).max(axis=1)
+        rough[:, level] = full_tensor_norm_sample_major(b, c, variant).max(axis=1)
         path[:, level] = _fold_last(np.abs(b), variant).max(axis=1)
         if centre is not None:
             bh, ch = pair_increments_sample_major(Bh, Ch, i_idx, j_idx)
-            bd, cd = difference_increments_sample_major(b, c, bh, ch)
-            centred[:, level] = homogeneous_norm_sample_major(bd, cd, variant).max(axis=1)
+            bd = bh - b
+            cd = ch - c - b[..., :, None] * bd[..., None, :]
+            centred[:, level] = full_tensor_norm_sample_major(bd, cd, variant).max(axis=1)
     return rough, path, centred
+
+
+def _gathered_log_increments(B, C, i_idx, j_idx):
+    """Level 1 and log area of gathered increments, sample-major."""
+    b, c = pair_increments_sample_major(B, C, i_idx, j_idx)
+    return b, area_sample_major(c)
 
 
 def allpairs_norms_sample_major(values, times, alpha, variant):
     """All-pairs Hoelder norms of a block of paths from sample-major (S, K, d)
-    and (S, K, d, d) stacks of every grid pair's increments."""
+    and (S, K, P) stacks of every grid pair's log coordinates."""
     B, C = prefix_sample_major(values)
     i_idx, j_idx = np.triu_indices(len(times), k=1)
-    b, c = pair_increments_sample_major(B, C, i_idx, j_idx)
     span = (times[j_idx] - times[i_idx]) ** alpha
-    return (homogeneous_norm_sample_major(b, c, variant) / span).max(axis=1)
+    return (homogeneous_norm_sample_major(*_gathered_log_increments(B, C, i_idx, j_idx),
+                                          variant) / span).max(axis=1)
 
 
 def _sample_major(lifted):
@@ -365,9 +423,9 @@ def _sample_major(lifted):
 def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
     """Dyadic Hoelder distance matrix between two lifted sets, level by level.
 
-    Per level, broadcasts the pair increments of x against a chunk of y's
-    columns into sample-major (m1, q, K, d, d) stacks and takes their norms,
-    as quantize.pairwise_distance did before the component-major kernel.
+    Per level, broadcasts the log coordinates of x's pair increments against
+    a chunk of y's columns into sample-major (m1, q, K, d) and (m1, q, K, P)
+    stacks of group differences and takes their norms.
     """
     m1, m2, d = x.size, y.size, x.dim
     n_steps = x.n_steps
@@ -376,17 +434,16 @@ def pairwise_distance_loop(x, y, alpha, variant="sum", chunk_floats=2**20):
     for level in range(n_steps.bit_length()):
         stride = n_steps >> level
         i_idx = np.arange(0, n_steps, stride, dtype=np.intp)
-        bx, cx = pair_increments_sample_major(*_sample_major(x), i_idx, i_idx + stride)
-        by, cy = pair_increments_sample_major(*_sample_major(y), i_idx, i_idx + stride)
+        bx, ax = _gathered_log_increments(*_sample_major(x), i_idx, i_idx + stride)
+        by, ay = _gathered_log_increments(*_sample_major(y), i_idx, i_idx + stride)
         k = bx.shape[1]
         scale = (horizon * 0.5**level) ** alpha
         q = max(1, int(chunk_floats / max(1, m1 * k * d * d)))
         for start in range(0, m2, q):
             stop = min(start + q, m2)
-            b = by[None, start:stop] - bx[:, None]
-            c = (cy[None, start:stop] - cx[:, None]
-                 - bx[:, None, :, :, None] * b[..., None, :])
-            lvl = homogeneous_norm_sample_major(b, c, variant).max(axis=-1) / scale
+            diff = difference_increments_sample_major(bx[:, None], ax[:, None],
+                                                      by[None, start:stop], ay[None, start:stop])
+            lvl = homogeneous_norm_sample_major(*diff, variant).max(axis=-1) / scale
             np.maximum(out[:, start:stop], lvl, out=out[:, start:stop])
     return out
 
@@ -491,10 +548,10 @@ def holder_distance_sample_major(x, y, alpha, pair_set="all", variant="sum"):
         i_idx, j_idx = np.triu_indices(n_points, k=1)
     else:
         i_idx, j_idx = dyadic_pair_indices_loop(n_points - 1)
-    bx, cx = pair_increments_sample_major(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
-    by, cy = pair_increments_sample_major(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
+    bx, ax = _gathered_log_increments(x.prefix_level1, x.prefix_level2, i_idx, j_idx)
+    by, ay = _gathered_log_increments(y.prefix_level1, y.prefix_level2, i_idx, j_idx)
     norms = homogeneous_norm_sample_major(
-        *difference_increments_sample_major(bx, cx, by, cy), variant)
+        *difference_increments_sample_major(bx, ax, by, ay), variant)
     return float((norms / (x.times[j_idx] - x.times[i_idx]) ** alpha).max())
 
 
@@ -518,9 +575,8 @@ def dyadic_holder_bound_loop(B, C, times, alpha, eps, variant="sum"):
     level_norms = []
     for level in range(L + 1):
         stride = n_steps >> level
-        b, c = pair_increments_sample_major(B, C, slice(0, n_steps, stride),
-                                            slice(stride, None, stride))
-        level_norms.append(homogeneous_norm_sample_major(b, c, variant))
+        level_norms.append(homogeneous_norm_sample_major(*_gathered_log_increments(
+            B, C, slice(0, n_steps, stride), slice(stride, None, stride)), variant))
     level_sups = np.array([ln.max() for ln in level_norms])
     coarse = 2.0 * level_sups[1:].sum() / eps**alpha
     fine = 0.0

@@ -372,11 +372,8 @@ def test_criterion_09_transport_exactness(capsys):
         ref = float(np.sum(np.abs(cdf_gap) * np.diff(pts)))
         quantile_worst = max(quantile_worst, abs(got - ref))
 
-    # metric axioms against a fixed ground cost: recomputing Hoelder
-    # distances per call injects ~1e-8 noise on single-step pairs (the
-    # difference of two straight segments has exactly zero log area, and
-    # the norm's square root amplifies the rounding residue), so the
-    # transport layer is tested with the cost matrix computed once
+    # metric axioms against a fixed ground cost, so that only the transport
+    # layer is tested
     axiom_worst = 0.0
     atoms = LiftedSet.from_model(brownian_model(dim=2), 8, 20260910, 32)
     ground = pairwise_distance(atoms, atoms, 0.4)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from roughball import (
     CMPath,
     G2Element,
+    L2Element,
     batch_homogeneous_norm,
     g2_dilate,
     g2_exp,
@@ -113,12 +114,17 @@ def test_norm_zero_iff_unit():
 
 @pytest.mark.parametrize("variant", ["sum", "sup"])
 def test_batch_norm_matches_scalar(rng, variant):
+    # geometric elements: antisymmetric log level 2, passed as its entries i < j
     d = 3
     m = 40
-    elems = [random_g2(rng, d) for _ in range(m)]
+    i, j = np.triu_indices(d, 1)
+    elems = []
+    for _ in range(m):
+        a = rng.standard_normal((d, d))
+        elems.append(g2_exp(L2Element(rng.standard_normal(d), a - a.T)))
     level1 = np.stack([x.level1 for x in elems], axis=-1)  # component-major (d, m)
-    level2 = np.stack([x.level2 for x in elems], axis=-1)  # (d, d, m)
-    batch = batch_homogeneous_norm(level1, level2, variant=variant)
+    area = np.stack([g2_log(x).level2[i, j] for x in elems], axis=-1)  # (3, m)
+    batch = batch_homogeneous_norm(level1, area, variant=variant)
     assert batch.shape == (m,)
     single = np.array([homogeneous_norm(x, variant=variant) for x in elems])
     assert np.abs(batch - single).max() <= 1e-14

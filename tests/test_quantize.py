@@ -73,8 +73,7 @@ def test_constant_increment_distance_is_euclidean(rng):
     ls = embed_constant_increment(pts)
     D = pairwise_distance(ls, ls, alpha=0.4)
     expected = np.abs(pts - pts.T)
-    # the vanishing level-2 coordinate leaves sqrt(ulp) residue, hence 1e-7
-    assert np.abs(D - expected).max() <= 1e-7
+    assert np.array_equal(D, expected)
 
 
 def test_pairwise_matches_pathwise_distance(rng):
@@ -96,7 +95,7 @@ def test_pairwise_chunking_is_invisible(rng):
     assert np.array_equal(full[:5], rows)
     assert np.array_equal(full[:, 7:8], column)
     assert np.abs(np.diag(full)).max() == 0.0
-    assert np.abs(full - full.T).max() <= 1e-7
+    assert np.array_equal(full, full.T)
 
 
 @pytest.mark.parametrize("variant", ["sum", "sup"])
@@ -342,11 +341,11 @@ def test_lloyd_distortion_is_that_of_the_returned_centres(mode, max_iter):
 
 
 # E_hat at n = 4, 16, 32 of the polished mean-mode codebooks on the benchmark
-# quantize stage, as its quantize.csv recorded them while the polish was kept
+# quantize stage (oracles.lloyd_mean_polished, distances on log coordinates)
 _POLISHED_E_HAT = {
-    1: (2.1757946262902546, 1.9863079605503378, 1.9322339991839135),
-    7: (2.130185870312112, 1.9990406865525805, 1.9457084973485512),
-    12345: (2.114032668382342, 1.9641254484281734, 1.9280155896864788),
+    1: (2.175794607984612, 1.9863079438002473, 1.932233982491374),
+    7: (2.1301858535719065, 1.9990406694954073, 1.945708479752954),
+    12345: (2.114032653781618, 1.9641254323290227, 1.9276762398097746),
 }
 
 
@@ -675,10 +674,7 @@ def test_pairwise_distance_to_itself_is_symmetric_with_zero_diagonal(
     x = _random_set(seed, size, dim, 2**log2_steps, scale)
     dist = pairwise_distance(x, x, alpha, variant)
     assert np.all(np.diag(dist) == 0.0)
-    # d(x, y) and d(y, x) round differently inside the square root of the
-    # level-2 coordinates, and a residue eps |b|^2 there moves the norm by
-    # about sqrt(eps) |b|: symmetric to 1e-6 relative, not bit for bit
-    np.testing.assert_allclose(dist, dist.T, rtol=0.0, atol=1e-6 * dist.max())
+    assert np.array_equal(dist, dist.T)
 
 
 @settings(max_examples=30)

@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 from oracles import (
     allpairs_norms_sample_major,
-    dyadic_level_maxima_loop,
+    dyadic_tree_loop,
     gaussian_ball_probability,
     lemma_bound_norms_per_path,
     synthetic_curve,
@@ -233,8 +233,8 @@ def test_centred_ensemble_matches_level_loop(variant):
     times = np.linspace(0.0, 1.0, 65)
     centre = np.stack([times, np.sin(3.0 * times)], axis=1)
     ens = sample_dyadic_level_maxima(m, 40, 5, n_steps=64, variant=variant, centre=centre)
-    ref = dyadic_level_maxima_loop(sample_path_block(SamplerPlan(m, times), 5, 0, 40),
-                                   variant, centre=centre)
+    ref = dyadic_tree_loop(sample_path_block(SamplerPlan(m, times), 5, 0, 40), variant,
+                           centre=centre)
     for got, want in zip((ens.rough_level_max, ens.path_level_max, ens.centred_level_max),
                          ref):
         assert np.array_equal(got, want)
